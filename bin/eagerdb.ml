@@ -7,7 +7,6 @@
      demo NAME    run a built-in workload report (fig1 | fig8 | ex3 | parts)
 *)
 
-open Eager_schema
 open Eager_storage
 open Eager_exec
 open Eager_core
@@ -17,103 +16,10 @@ open Eager_durable
 open Eager_workload
 open Eager_robust
 
-let print_table heap =
-  let schema = Heap.schema heap in
-  let headers =
-    Array.map (fun (c, _) -> Colref.to_string c) (Schema.cols schema)
-  in
-  let rows =
-    Heap.to_list heap
-    |> List.map (fun row -> Array.map Eager_value.Value.to_string row)
-  in
-  let ncols = Array.length headers in
-  let widths = Array.map String.length headers in
-  List.iter
-    (fun row ->
-      Array.iteri (fun i s -> widths.(i) <- max widths.(i) (String.length s)) row)
-    rows;
-  let line cells =
-    String.concat " | "
-      (List.init ncols (fun i ->
-           let s = if i < Array.length cells then cells.(i) else "" in
-           s ^ String.make (widths.(i) - String.length s) ' '))
-  in
-  print_endline (line headers);
-  print_endline (String.concat "-+-" (Array.to_list (Array.map (fun w -> String.make w '-') widths)));
-  List.iter (fun r -> print_endline (line r)) rows;
-  Printf.printf "(%d rows)\n" (List.length rows)
-
-type show = Results | Explain | Explain_analyze
-
 (* A query failure is a diagnostic, not a process death: the governor or
    an execution error aborts only the statement, and the session (and
    database) stays usable. *)
 let print_err e = Printf.printf "error: %s\n" (Err.to_string e)
-
-let run_query db (q : Binder.bound_query) ~limits ~order ~(show : show) =
-  (* fresh governor per statement: the deadline clock starts here; on a
-     paged database the breakers also get a fresh spill budget and the
-     planner costs page IOs *)
-  let governor = Governor.create limits in
-  let options =
-    { Exec.default_options with governor; spill = Spill.for_db db }
-  in
-  let io = Cost.default_io db in
-  let checked plan k =
-    match Exec.run_checked ~options db plan with
-    | Ok (heap, stats) -> k (heap, stats)
-    | Error e -> print_err e
-  in
-  let analyze plan =
-    let t0 = Unix.gettimeofday () in
-    checked (Binder.apply_order order plan) (fun (heap, stats) ->
-        Printf.printf "%s(%d rows in %.2f ms)\n" (Optree.to_string stats)
-          (Heap.length heap)
-          ((Unix.gettimeofday () -. t0) *. 1000.))
-  in
-  let finish plan =
-    match show with
-    | Explain ->
-        print_endline (Eager_algebra.Plan.to_string (Binder.apply_order order plan))
-    | Explain_analyze -> analyze plan
-    | Results ->
-        checked (Binder.apply_order order plan) (fun (heap, _) ->
-            print_table heap)
-  in
-  match q with
-  | Binder.Grouped input -> (
-      match Canonical.of_input db input with
-      | Ok cq -> (
-          match Planner.decide ~governor ?io db cq with
-          | Error e -> print_err e
-          | Ok decision -> (
-              match show with
-              | Explain ->
-                  print_string (Explain.text db decision);
-                  if order <> [] then
-                    print_endline "-- final output sorted per ORDER BY"
-              | Explain_analyze ->
-                  Printf.printf "-- plan: %s\n"
-                    (Planner.kind_to_string decision.Planner.chosen_kind);
-                  analyze decision.Planner.chosen
-              | Results ->
-                  let plan = Binder.apply_order order decision.Planner.chosen in
-                  checked plan (fun (heap, _) ->
-                      print_table heap;
-                      Printf.printf "-- plan: %s\n"
-                        (Planner.kind_to_string decision.Planner.chosen_kind))))
-      | Error reason -> (
-          (* outside the canonical class: run the straightforward plan *)
-          match Binder.to_plan db q with
-          | Ok plan ->
-              if show <> Results then
-                Printf.printf "-- not in the transformable class: %s\n" reason;
-              finish plan
-          | Error msg -> Printf.printf "error: %s\n" msg))
-  | _ -> (
-      match Binder.to_plan db q with
-      | Ok plan -> finish plan
-      | Error msg -> Printf.printf "error: %s\n" msg)
 
 (* --faults "point@n,point2@m" arms deterministic one-shots; --fault-seed
    with --fault-rate arms a seeded random schedule over every registered
@@ -173,20 +79,25 @@ let arm_faults ?fault_points spec seed rate =
   | None -> ()
   | Some seed -> Fault.arm_seeded ~seed ~rate ?points ()
 
-let print_outcome db ~limits = function
-  | Binder.Created msg -> Printf.printf "%s\n" msg
-  | Binder.Inserted n -> Printf.printf "%d row(s) inserted\n" n
-  | Binder.Updated n -> Printf.printf "%d row(s) updated\n" n
-  | Binder.Deleted n -> Printf.printf "%d row(s) deleted\n" n
-  | Binder.Checkpointed lsn -> Printf.printf "checkpointed at wal lsn %d\n" lsn
-  | Binder.Backed_up { dir; lsn } ->
-      Printf.printf "backup written to %s at wal lsn %d\n" dir lsn
-  | Binder.Promoted lsn ->
-      Printf.printf "promoted to primary at wal lsn %d\n" lsn
-  | Binder.Query (q, order) -> run_query db q ~limits ~order ~show:Results
-  | Binder.Explained (q, order, an) ->
-      run_query db q ~limits ~order
-        ~show:(if an then Explain_analyze else Explain)
+let print_outcome db ~limits outcome =
+  let open Eager_server in
+  let buf = Buffer.create 256 in
+  (* fresh governor per statement: the deadline clock starts here *)
+  let run q order show =
+    Statement.run db q ~governor:(Governor.create limits) ~order ~show buf
+  in
+  let result =
+    match outcome with
+    | Binder.Query (q, order) -> run q order Statement.Results
+    | Binder.Explained (q, order, an) ->
+        run q order
+          (if an then Statement.Explain_analyze else Statement.Explain)
+    | other ->
+        Statement.describe_outcome buf other;
+        Ok ()
+  in
+  print_string (Buffer.contents buf);
+  Result.iter_error print_err result
 
 let print_recovery dir (r : Durable.recovery) =
   let opt n fmt = if n = 0 then [] else [ Printf.sprintf fmt n ] in
@@ -345,7 +256,7 @@ let repl limits storage =
            && trimmed.[String.length trimmed - 1] = ';'
         then begin
           Buffer.clear buffer;
-          let t0 = Unix.gettimeofday () in
+          let t0 = Clock.now_ms () in
           (match
              Binder.run_script_with !db text ~f:(fun o ->
                  print_outcome !db ~limits o)
@@ -353,8 +264,7 @@ let repl limits storage =
           | Error msg -> Printf.printf "error: %s\n" msg
           | Ok () -> ());
           if !timing then
-            Printf.printf "time: %.2f ms\n"
-              ((Unix.gettimeofday () -. t0) *. 1000.);
+            Printf.printf "time: %.2f ms\n" (Clock.now_ms () -. t0);
           loop ()
         end
         else loop ()

@@ -241,6 +241,33 @@ let test_end_to_end () =
   let out = run_ok ccfg "EXPLAIN SELECT t.a, SUM(t.b) FROM t GROUP BY t.a;" in
   Alcotest.(check bool) "explain carries telemetry" true
     (contains out "-- session ");
+  (* a grouped join inside the transformable class, through the planner *)
+  ignore
+    (run_ok ccfg
+       "CREATE TABLE d (a INT PRIMARY KEY, n VARCHAR(5)); INSERT INTO d VALUES (1,'x'),(2,'y');");
+  let grouped =
+    "SELECT d.a, d.n, SUM(t.b) FROM t, d WHERE t.a = d.a GROUP BY d.a, d.n"
+  in
+  let out = run_ok ccfg (grouped ^ " ORDER BY d.a DESC;") in
+  Alcotest.(check bool) "rows follow ORDER BY" true
+    (contains out "2   | 'y' | 20   \n1   | 'x' | 40   \n");
+  Alcotest.(check bool) "row-count footer" true (contains out "(2 rows)\n");
+  Alcotest.(check bool) "plan kind line" true (contains out "-- plan: ");
+  let out = run_ok ccfg ("EXPLAIN ANALYZE " ^ grouped ^ ";") in
+  Alcotest.(check bool) "analyze names the plan" true (contains out "-- plan: ");
+  Alcotest.(check bool) "analyze shows the operator tree" true
+    (contains out "Join [" && contains out "Scan t");
+  Alcotest.(check bool) "analyze times the run" true
+    (contains out "(2 rows in " && contains out " ms)");
+  let out = run_ok ccfg "EXPLAIN SELECT t.a, SUM(t.b) FROM t GROUP BY t.a;" in
+  Alcotest.(check bool) "out-of-class query says so" true
+    (contains out "-- not in the transformable class");
+  (match ok "bind error" (Client.run ccfg "SELECT t.zz FROM t;") with
+  | Client.Failed { kind; _ } -> Alcotest.(check string) "typed" "Bind" kind
+  | _ -> Alcotest.fail "an unknown column should fail typed");
+  let out = run_ok ccfg "SELECT d.n FROM d;" in
+  Alcotest.(check bool) "serving after the bind error" true
+    (contains out "(2 rows)");
   (match ok "parse error" (Client.run ccfg "SELEKT;") with
   | Client.Failed { kind; _ } -> Alcotest.(check string) "typed" "Parse" kind
   | _ -> Alcotest.fail "bad SQL should fail typed");

@@ -172,6 +172,19 @@ while IFS= read -r hit; do
 done < <(grep -rn --include='*.ml' -E 'Pager\.(read|write|alloc)[^_a-zA-Z]' \
   lib bin | grep -v 'lib/storage/buffer_pool\.ml' || true)
 
+# One statement path: the SELECT/EXPLAIN ladder (canonicalise, decide
+# E1/E2/E2p, execute, render, with the Binder.to_plan fallback) lives
+# only in lib/server/statement.ml, which the CLI and the server both
+# call.  ORDER BY is applied inside that ladder, so Binder.apply_order
+# anywhere else in lib/ or bin/ is a second ladder growing back.
+while IFS= read -r hit; do
+  echo "lint: Binder.apply_order outside the statement runner: $hit" >&2
+  echo "lint: run SELECT/EXPLAIN through Statement.run" >&2
+  echo "lint: (lib/server/statement.ml) instead of a second copy." >&2
+  bad=1
+done < <(grep -rnw --include='*.ml' 'apply_order' lib bin |
+  grep -vE '^lib/(server/statement|parser/binder)\.ml:' || true)
+
 # no allowlist for nondeterminism: Random.self_init and the global
 # generator are banned outright (Random.State through Gen is the only
 # sanctioned source of randomness)
