@@ -3,14 +3,25 @@ open Eager_schema
 open Eager_expr
 open Eager_algebra
 
-(* Accumulator for one aggregate-function call. *)
+(* A float slot stored flat: a record of floats alone holds them
+   unboxed, so [c.f <- c.f +. x] allocates nothing. *)
+type fcell = { mutable f : float }
+
+(* Accumulator for one aggregate-function call, mutated in place.  SUM
+   moves between modes as operands arrive — none seen, all-Int, Float
+   (once a Float meets the sum) and the generic [Value.add] fold for
+   anything else — and each mode folds exactly as [Value.add] would. *)
 type acc =
-  | Acount of int ref
-  | Adistinct of (Value.t list, unit) Hashtbl.t  (* =ⁿ classes seen *)
-  | Asum of Value.t option ref  (* None until the first non-NULL operand *)
-  | Amin of Value.t option ref
-  | Amax of Value.t option ref
-  | Aavg of (float * int) ref   (* running sum and non-NULL count *)
+  | Acount_star of { mutable n : int }
+  | Acount of { mutable n : int }
+  | Adistinct of unit Rowtbl.t  (* =ⁿ classes seen, as one-column rows *)
+  | Asum_none
+  | Asum_int of { mutable n : int }
+  | Asum_float of fcell
+  | Asum_value of { mutable v : Value.t }
+  | Amin of { mutable v : Value.t }  (* NULL until the first non-NULL operand *)
+  | Amax of { mutable v : Value.t }
+  | Aavg of { mutable n : int; sum : fcell }  (* non-NULL count, running sum *)
 
 (* A compiled Call site: the operand evaluator (None for COUNT star) plus a
    constructor for its accumulator and the fold step. *)
@@ -53,67 +64,72 @@ let compile ?params schema (aggs : Agg.t list) =
   let irs = List.map (fun (a : Agg.t) -> compile_calc a.Agg.calc) aggs in
   { sites = Array.of_list (List.rev !sites); irs = Array.of_list irs }
 
+let distinct_key = [| 0 |]
+
 let fresh t =
   Array.map
     (fun site ->
       match site.kind with
-      | Agg.Count_star | Agg.Count _ -> Acount (ref 0)
-      | Agg.Count_distinct _ -> Adistinct (Hashtbl.create 16)
-      | Agg.Sum _ -> Asum (ref None)
-      | Agg.Min _ -> Amin (ref None)
-      | Agg.Max _ -> Amax (ref None)
-      | Agg.Avg _ -> Aavg (ref (0., 0)))
+      | Agg.Count_star -> Acount_star { n = 0 }
+      | Agg.Count _ -> Acount { n = 0 }
+      | Agg.Count_distinct _ -> Adistinct (Rowtbl.create distinct_key)
+      | Agg.Sum _ -> Asum_none
+      | Agg.Min _ -> Amin { v = Value.Null }
+      | Agg.Max _ -> Amax { v = Value.Null }
+      | Agg.Avg _ -> Aavg { n = 0; sum = { f = 0. } })
     t.sites
 
 let update t state row =
-  Array.iteri
-    (fun i site ->
-      let v = match site.operand with None -> Value.Null | Some f -> f row in
-      match state.(i) with
-      | Acount r -> (
-          match site.kind with
-          | Agg.Count_star -> incr r
-          | _ -> if not (Value.is_null v) then incr r)
-      | Adistinct tbl ->
-          if not (Value.is_null v) then
-            Hashtbl.replace tbl (Row.key_on [| 0 |] [| v |]) ()
-      | Asum r ->
-          if not (Value.is_null v) then
-            r := Some (match !r with None -> v | Some acc -> Value.add acc v)
-      | Amin r ->
-          if not (Value.is_null v) then
-            r :=
-              Some
-                (match !r with
-                | None -> v
-                | Some acc -> if Value.compare_total v acc < 0 then v else acc)
-      | Amax r ->
-          if not (Value.is_null v) then
-            r :=
-              Some
-                (match !r with
-                | None -> v
-                | Some acc -> if Value.compare_total v acc > 0 then v else acc)
-      | Aavg r ->
-          if not (Value.is_null v) then begin
-            let fl =
-              match v with
-              | Value.Int x -> float_of_int x
-              | Value.Float x -> x
-              | _ -> 0.
-            in
-            let s, c = !r in
-            r := (s +. fl, c + 1)
-          end)
-    t.sites
+  for i = 0 to Array.length t.sites - 1 do
+    let v =
+      match t.sites.(i).operand with None -> Value.Null | Some f -> f row
+    in
+    match state.(i) with
+    | Acount_star a -> a.n <- a.n + 1
+    | _ when Value.is_null v -> ()
+    | Acount a -> a.n <- a.n + 1
+    | Adistinct seen -> Rowtbl.find_or_add seen [| v |] ignore
+    | Asum_none ->
+        state.(i) <-
+          (match v with
+          | Value.Int x -> Asum_int { n = x }
+          | Value.Float x -> Asum_float { f = x }
+          | v -> Asum_value { v })
+    | Asum_int a -> (
+        match v with
+        | Value.Int x -> a.n <- a.n + x
+        | Value.Float x ->
+            state.(i) <- Asum_float { f = float_of_int a.n +. x }
+        | v -> state.(i) <- Asum_value { v = Value.add (Value.Int a.n) v })
+    | Asum_float c -> (
+        match v with
+        | Value.Float x -> c.f <- c.f +. x
+        | Value.Int x -> c.f <- c.f +. float_of_int x
+        | v -> state.(i) <- Asum_value { v = Value.add (Value.Float c.f) v })
+    | Asum_value a -> a.v <- Value.add a.v v
+    | Amin m ->
+        if Value.is_null m.v || Value.compare_total v m.v < 0 then m.v <- v
+    | Amax m ->
+        if Value.is_null m.v || Value.compare_total v m.v > 0 then m.v <- v
+    | Aavg a ->
+        a.n <- a.n + 1;
+        let x =
+          match v with
+          | Value.Int x -> float_of_int x
+          | Value.Float x -> x
+          | _ -> 0.
+        in
+        a.sum.f <- a.sum.f +. x
+  done
 
 let result_of_acc = function
-  | Acount r -> Value.Int !r
-  | Adistinct tbl -> Value.Int (Hashtbl.length tbl)
-  | Asum r | Amin r | Amax r -> ( match !r with None -> Value.Null | Some v -> v)
-  | Aavg r ->
-      let s, c = !r in
-      if c = 0 then Value.Null else Value.Float (s /. float_of_int c)
+  | Acount_star { n } | Acount { n } | Asum_int { n } -> Value.Int n
+  | Adistinct seen -> Value.Int (Rowtbl.length seen)
+  | Asum_none -> Value.Null
+  | Asum_float c -> Value.Float c.f
+  | Asum_value { v } | Amin { v } | Amax { v } -> v
+  | Aavg { n; sum } ->
+      if n = 0 then Value.Null else Value.Float (sum.f /. float_of_int n)
 
 let finalize t state =
   let rec eval_ir = function
@@ -129,6 +145,3 @@ let finalize t state =
     | Ineg a -> Value.neg (eval_ir a)
   in
   Array.map eval_ir t.irs
-
-(* Unused Schema open guard *)
-let _ = Schema.arity

@@ -43,9 +43,6 @@ let split_equijoin lsch rsch pred =
       | _ -> Either.Right c)
     conjs
 
-let all_non_null idxs (row : Row.t) =
-  Array.for_all (fun i -> not (Value.is_null row.(i))) idxs
-
 (* is [keys] a prefix of the known sort order [order]? *)
 let covered_by_order keys order =
   let rec go ks os =
@@ -193,6 +190,35 @@ let array_source ~batch_rows ~tr ~held schema (arr : Row.t array) : cursor =
       Some b
     end
 
+(* Stream a group table out in first-seen order, one output row per
+   entry, releasing the table's tracked rows once it is drained (on the
+   same pull as [array_source], so the profile's peak is unchanged). *)
+let table_source ~batch_rows ~tr schema tbl emit : cursor =
+  let held = Rowtbl.length tbl in
+  let next = Rowtbl.to_stream tbl emit in
+  let out = Batch.create ~capacity:batch_rows schema in
+  let closed = ref false in
+  fun () ->
+    if !closed then None
+    else begin
+      Batch.clear out;
+      let rec fill () =
+        if not (Batch.is_full out) then
+          match next () with
+          | None -> ()
+          | Some row ->
+              Batch.add out row;
+              fill ()
+      in
+      fill ();
+      if Batch.is_empty out then begin
+        closed := true;
+        release tr held;
+        None
+      end
+      else Some out
+    end
+
 (* Adapters between the batched pull pipeline and the row streams the
    spill algorithms speak. *)
 let rows_of_cursor (c : cursor) : Spill.row_stream =
@@ -268,7 +294,8 @@ let map_cursor ~batch_rows schema f (child : cursor) : cursor =
 (* DISTINCT projection streams first occurrences; the seen-key table is
    the only state it holds (one entry per retained row). *)
 let dedup_cursor ~batch_rows ~tr schema idxs (child : cursor) : cursor =
-  let seen = Hashtbl.create 256 in
+  (* keyed on the projected rows it emits, probed with the input's [idxs] *)
+  let seen = Rowtbl.create (Array.init (Array.length idxs) Fun.id) in
   let out = Batch.create ~capacity:batch_rows schema in
   let closed = ref false in
   fun () ->
@@ -282,16 +309,16 @@ let dedup_cursor ~batch_rows ~tr schema idxs (child : cursor) : cursor =
         | None ->
             go := false;
             closed := true;
-            release tr (Hashtbl.length seen);
+            release tr (Rowtbl.length seen);
             if not (Batch.is_empty out) then result := Some out
         | Some b ->
             Batch.iter
               (fun row ->
-                let key = Row.key_on idxs row in
-                if not (Hashtbl.mem seen key) then begin
-                  Hashtbl.add seen key ();
+                if not (Rowtbl.found (Rowtbl.find seen idxs row)) then begin
+                  let p = Row.project idxs row in
+                  Rowtbl.add seen p ();
                   acquire tr 1;
-                  Batch.add out (Row.project idxs row)
+                  Batch.add out p
                 end)
               b;
             if not (Batch.is_empty out) then begin
@@ -362,21 +389,20 @@ let nested_loop_cursor ~batch_rows ~tr schema pred_opt (lchild : cursor)
    right — the Volcano convention.  This is what makes the eager rewrite
    visible in memory, not just time: in E2 the build side is the
    already-aggregated [R1'], so the hash table holds one row per group
-   instead of one per base row.  Output order follows the probe side. *)
+   instead of one per base row.  Output order follows the probe side;
+   one probe row meets its matches newest-first. *)
 let hash_join_cursor ~batch_rows ~tr schema residual lidx ridx
     (lchild : cursor) (rchild : cursor) : cursor =
   deferred (fun () ->
-      let build : (Value.t list, Row.t) Hashtbl.t = Hashtbl.create 1024 in
-      let count = ref 0 in
+      let build : unit Rowtbl.t = Rowtbl.create lidx in
       let rec load () =
         match lchild () with
         | None -> ()
         | Some b ->
             Batch.iter
               (fun l ->
-                if all_non_null lidx l then begin
-                  Hashtbl.add build (Row.key_on lidx l) l;
-                  incr count;
+                if Row.non_null_on lidx l then begin
+                  Rowtbl.add build l ();
                   acquire tr 1
                 end)
               b;
@@ -384,7 +410,7 @@ let hash_join_cursor ~batch_rows ~tr schema residual lidx ridx
       in
       load ();
       let out = Batch.create ~capacity:batch_rows schema in
-      let pending = ref [] in
+      let pending = ref Rowtbl.none in
       let cur = ref dummy_row in
       let pbatch = ref None in
       let pi = ref 0 in
@@ -400,33 +426,32 @@ let hash_join_cursor ~batch_rows ~tr schema residual lidx ridx
               go := false;
               result := Some out
             end
+            else if Rowtbl.found !pending then begin
+              let row = Row.concat (Rowtbl.row !pending) !cur in
+              pending := Rowtbl.next build ridx !cur !pending;
+              match residual with
+              | Some p when not (Tbool.holds (p row)) -> ()
+              | _ -> Batch.add out row
+            end
             else
-              match !pending with
-              | l :: rest ->
-                  pending := rest;
-                  let row = Row.concat l !cur in
-                  (match residual with
-                  | Some p when not (Tbool.holds (p row)) -> ()
-                  | _ -> Batch.add out row)
-              | [] -> (
-                  match !pbatch with
-                  | Some b when !pi < Batch.length b ->
-                      let r = Batch.get b !pi in
-                      incr pi;
-                      if all_non_null ridx r then begin
-                        cur := r;
-                        pending := Hashtbl.find_all build (Row.key_on ridx r)
-                      end
-                  | _ -> (
-                      match rchild () with
-                      | Some b ->
-                          pbatch := Some b;
-                          pi := 0
-                      | None ->
-                          go := false;
-                          closed := true;
-                          release tr !count;
-                          if not (Batch.is_empty out) then result := Some out))
+              match !pbatch with
+              | Some b when !pi < Batch.length b ->
+                  let r = Batch.get b !pi in
+                  incr pi;
+                  if Row.non_null_on ridx r then begin
+                    cur := r;
+                    pending := Rowtbl.find build ridx r
+                  end
+              | _ -> (
+                  match rchild () with
+                  | Some b ->
+                      pbatch := Some b;
+                      pi := 0
+                  | None ->
+                      go := false;
+                      closed := true;
+                      release tr (Rowtbl.length build);
+                      if not (Batch.is_empty out) then result := Some out)
           done;
           !result
         end)
@@ -436,8 +461,8 @@ let hash_join_cursor ~batch_rows ~tr schema residual lidx ridx
 let merge_join_cursor ~batch_rows ~tr schema residual lidx ridx ~lsorted
     ~rsorted (lchild : cursor) (rchild : cursor) : cursor =
   deferred (fun () ->
-      let l = drain_where tr (all_non_null lidx) lchild in
-      let r = drain_where tr (all_non_null ridx) rchild in
+      let l = drain_where tr (Row.non_null_on lidx) lchild in
+      let r = drain_where tr (Row.non_null_on ridx) rchild in
       if not lsorted then Array.sort (Row.compare_on lidx) l;
       if not rsorted then Array.sort (Row.compare_on ridx) r;
       let key_cmp (a : Row.t) (b : Row.t) =
@@ -519,6 +544,21 @@ let merge_join_cursor ~batch_rows ~tr schema residual lidx ridx ~lsorted
 (* ------------------------------------------------------------------ *)
 (* grouping                                                            *)
 
+(* Fold one input row into its group's accumulators, adding the group
+   on first sight.  A new group is tracked and charged against the
+   governor's group budget as the table grows, not only at the cursor
+   boundary. *)
+let absorb_into ~tr ~gov compiled groups =
+  let fresh _ =
+    acquire tr 1;
+    Governor.charge_groups gov (Rowtbl.length groups + 1);
+    Agg_exec.fresh compiled
+  in
+  fun row -> Agg_exec.update compiled (Rowtbl.find_or_add groups row fresh) row
+
+let group_row by_idx compiled repr state =
+  Array.append (Row.project by_idx repr) (Agg_exec.finalize compiled state)
+
 (* Hash aggregation: the group table (one repr row + accumulators per
    group) is the breaker state; input rows stream through and are never
    retained.  Emission is in first-seen order, so sorted input produces
@@ -526,42 +566,17 @@ let merge_join_cursor ~batch_rows ~tr schema residual lidx ridx ~lsorted
 let hash_group_cursor ~batch_rows ~tr ~gov schema by_idx compiled
     (child : cursor) : cursor =
   deferred (fun () ->
-      let groups : (Value.t list, Row.t * Agg_exec.group_state) Hashtbl.t =
-        Hashtbl.create 256
-      in
-      let order = ref [] in
+      let groups = Rowtbl.create by_idx in
+      let absorb = absorb_into ~tr ~gov compiled groups in
       let rec load () =
         match child () with
         | None -> ()
         | Some b ->
-            Batch.iter
-              (fun row ->
-                let key = Row.key_on by_idx row in
-                match Hashtbl.find_opt groups key with
-                | Some (_, state) -> Agg_exec.update compiled state row
-                | None ->
-                    let state = Agg_exec.fresh compiled in
-                    Agg_exec.update compiled state row;
-                    Hashtbl.add groups key (row, state);
-                    acquire tr 1;
-                    (* bound the aggregation hash table while it grows,
-                       not only at the cursor boundary *)
-                    Governor.charge_groups gov (Hashtbl.length groups);
-                    order := key :: !order)
-              b;
+            Batch.iter absorb b;
             load ()
       in
       load ();
-      let held = Hashtbl.length groups in
-      let rows =
-        List.rev !order
-        |> List.map (fun key ->
-               let repr, state = Hashtbl.find groups key in
-               Array.append (Row.project by_idx repr)
-                 (Agg_exec.finalize compiled state))
-        |> Array.of_list
-      in
-      array_source ~batch_rows ~tr ~held schema rows)
+      table_source ~batch_rows ~tr schema groups (group_row by_idx compiled))
 
 (* Partial pre-aggregation: a bounded group table that flushes its
    (group, partial-accumulator) rows whenever it reaches [cap] live
@@ -574,67 +589,40 @@ let hash_group_cursor ~batch_rows ~tr ~gov schema by_idx compiled
 let partial_group_cursor ~batch_rows ~tr ~gov schema by_idx compiled ~cap
     (child : cursor) : cursor =
   let cap = max 1 cap in
-  let groups : (Value.t list, Row.t * Agg_exec.group_state) Hashtbl.t =
-    Hashtbl.create (min cap 256)
-  in
-  let order = ref [] in
-  let pending = ref [] in
+  let groups = Rowtbl.create by_idx in
+  let absorb = absorb_into ~tr ~gov compiled groups in
+  let pending = ref (fun () -> None) in
   let finished = ref false in
   let flush () =
-    let rows =
-      (* [!order] is latest-first; rev_map restores first-seen order *)
-      List.rev_map
-        (fun key ->
-          let repr, state = Hashtbl.find groups key in
-          Array.append (Row.project by_idx repr)
-            (Agg_exec.finalize compiled state))
-        !order
-    in
-    release tr (Hashtbl.length groups);
-    Hashtbl.reset groups;
-    order := [];
-    pending := rows
-  in
-  let absorb b =
-    Batch.iter
-      (fun row ->
-        let key = Row.key_on by_idx row in
-        match Hashtbl.find_opt groups key with
-        | Some (_, state) -> Agg_exec.update compiled state row
-        | None ->
-            let state = Agg_exec.fresh compiled in
-            Agg_exec.update compiled state row;
-            Hashtbl.add groups key (row, state);
-            acquire tr 1;
-            Governor.charge_groups gov (Hashtbl.length groups);
-            order := key :: !order)
-      b
+    (* the stream keeps the flushed epoch's entries, first-seen, after
+       the table is emptied for the next one *)
+    pending := Rowtbl.to_stream groups (group_row by_idx compiled);
+    release tr (Rowtbl.length groups);
+    Rowtbl.reset groups
   in
   let out = Batch.create ~capacity:batch_rows schema in
   fun () ->
     Batch.clear out;
     let eof = ref false in
     while (not !eof) && not (Batch.is_full out) do
-      match !pending with
-      | row :: rest ->
-          Batch.add out row;
-          pending := rest
-      | [] ->
+      match !pending () with
+      | Some row -> Batch.add out row
+      | None ->
           if !finished then eof := true
           else begin
             (* refill until the cap trips (a whole input batch is always
                absorbed, so the table can overshoot by one batch) or the
                child is exhausted *)
             let rec pull () =
-              if Hashtbl.length groups < cap then
+              if Rowtbl.length groups < cap then
                 match child () with
                 | Some b ->
-                    absorb b;
+                    Batch.iter absorb b;
                     pull ()
                 | None -> finished := true
             in
             pull ();
-            if Hashtbl.length groups = 0 then eof := true else flush ()
+            if Rowtbl.length groups = 0 then eof := true else flush ()
           end
     done;
     if Batch.is_empty out then None else Some out
@@ -784,7 +772,7 @@ let run_profiled ?(options = default_options) db plan =
               deferred (fun () ->
                   cursor_of_rows ~batch_rows schema
                     (Spill.hash_agg sp ~gov ~acquire:(acquire tr)
-                       ~release:(release tr) ~key:(Row.key_on idxs)
+                       ~release:(release tr) ~key:idxs
                        ~fresh:(fun () -> ())
                        ~absorb:(fun () _ -> ())
                        ~emit:(fun repr () -> Row.project idxs repr)
@@ -913,14 +901,6 @@ let run_profiled ?(options = default_options) db plan =
               let ridx = Schema.indices rsch rkeys in
               match options.spill with
               | Some sp ->
-                  let lkey row =
-                    if all_non_null lidx row then Some (Row.key_on lidx row)
-                    else None
-                  in
-                  let rkey row =
-                    if all_non_null ridx row then Some (Row.key_on ridx row)
-                    else None
-                  in
                   let combine l r =
                     let row = Row.concat l r in
                     match residual_pred with
@@ -930,7 +910,7 @@ let run_profiled ?(options = default_options) db plan =
                   deferred (fun () ->
                       cursor_of_rows ~batch_rows out_schema
                         (Spill.grace_join sp ~gov ~acquire:(acquire tr)
-                           ~release:(release tr) ~lkey ~rkey ~combine
+                           ~release:(release tr) ~lkey:lidx ~rkey:ridx ~combine
                            ~left:(rows_of_cursor lcur)
                            ~right:(rows_of_cursor rcur) ()))
               | None ->
@@ -991,12 +971,10 @@ let run_profiled ?(options = default_options) db plan =
                       (Spill.hash_agg sp ~gov ~acquire:(acquire tr)
                          ~release:(release tr)
                          ~on_groups:(Governor.charge_groups gov)
-                         ~key:(Row.key_on by_idx)
+                         ~key:by_idx
                          ~fresh:(fun () -> Agg_exec.fresh compiled)
                          ~absorb:(fun st row -> Agg_exec.update compiled st row)
-                         ~emit:(fun repr st ->
-                           Array.append (Row.project by_idx repr)
-                             (Agg_exec.finalize compiled st))
+                         ~emit:(group_row by_idx compiled)
                          (rows_of_cursor child)))
             | Hash_group, None ->
                 hash_group_cursor ~batch_rows ~tr ~gov schema by_idx compiled
@@ -1112,19 +1090,29 @@ let run_rows_checked ?options db plan =
       Heap.to_list h (* breaker-ok: API conversion of the final result *))
     (run_checked ?options db plan)
 
-let multiset_equal a b =
-  let tally rows =
-    let t = Hashtbl.create 64 in
-    List.iter
-      (fun row ->
-        let key = Row.key_on (Array.init (Array.length row) Fun.id) row in
-        let n = Option.value (Hashtbl.find_opt t key) ~default:0 in
-        Hashtbl.replace t key (n + 1))
-      rows;
-    t
-  in
-  List.length a = List.length b
-  &&
-  let ta = tally a and tb = tally b in
-  Hashtbl.length ta = Hashtbl.length tb
-  && Hashtbl.fold (fun k n acc -> acc && Hashtbl.find_opt tb k = Some n) ta true
+(* Rows of one arity at a time: a key is a whole row, so rows of
+   different arities are never equal. *)
+let rec multiset_equal a b =
+  match a with
+  | [] -> b = []
+  | r :: _ ->
+      let n = Array.length r in
+      let same_arity r = Array.length r = n in
+      let a1, a2 = List.partition same_arity a in
+      let b1, b2 = List.partition same_arity b in
+      List.compare_lengths a1 b1 = 0
+      && (let all = Array.init n Fun.id in
+          let tally = Rowtbl.create all in
+          List.iter
+            (fun r -> incr (Rowtbl.find_or_add tally r (fun _ -> ref 0)))
+            a1;
+          List.for_all
+            (fun r ->
+              let e = Rowtbl.find tally all r in
+              Rowtbl.found e
+              &&
+              let c = Rowtbl.data e in
+              decr c;
+              !c >= 0)
+            b1)
+      && multiset_equal a2 b2

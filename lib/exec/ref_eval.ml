@@ -5,11 +5,11 @@
    Every operator builds its complete output as a list before the parent
    looks at it — exactly the execution model the pull pipeline replaced.
    It shares only the leaf machinery with [Exec] (expression compilation,
-   aggregate accumulators, [Row.key_on] grouping keys) and none of the
-   operator algorithms: joins are always nested loops over full
-   predicates, grouping is always generic list-bucketed hashing (the
-   [unique_groups] fast path is ignored), and no order is tracked.  An
-   agreement bug in [Exec] therefore cannot hide here.
+   aggregate accumulators) and none of the operator algorithms: joins
+   are always nested loops over full predicates, grouping and DISTINCT
+   hash [Row.key_on] lists in the stdlib [Hashtbl] rather than [Exec]'s
+   [Rowtbl] (the [unique_groups] fast path is ignored), and no order is
+   tracked.  An agreement bug in [Exec] therefore cannot hide here.
 
    This file is exempt from the lint ban on whole-relation
    materialization in lib/exec — materializing is its entire point. *)

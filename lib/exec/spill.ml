@@ -32,7 +32,6 @@
    [cleanup] (run from the executor's unwind path) can return them to
    the pool even when a governor aborts the query mid-spill. *)
 
-open Eager_value
 open Eager_schema
 open Eager_storage
 open Eager_robust
@@ -194,11 +193,11 @@ let run_stream ?gov cfg r : row_stream =
   in
   next
 
-(* re-salted partition hash: each recursion depth splits keys
-   differently, so a partition that overflowed at depth d spreads out at
-   depth d+1 *)
-let partition_of ~depth ~nparts key =
-  Hashtbl.seeded_hash ((depth * 31) + 17) key mod nparts
+(* re-salted partition of a key hash ([Rowtbl.hash]): each recursion
+   depth splits keys differently, so a partition that overflowed at depth
+   d spreads out at depth d+1 *)
+let partition_of ~depth ~nparts h =
+  Hashtbl.seeded_hash ((depth * 31) + 17) h mod nparts
 
 let max_depth = 6
 
@@ -338,11 +337,10 @@ let hash_agg (type st) cfg ?gov ?(acquire = ignore) ?(release = ignore)
   let budget = rows_budget cfg in
   let nparts = nparts_of cfg in
   let rec process depth (input : row_stream) : row_stream =
-    let table : (Value.t list, Row.t * st) Hashtbl.t = Hashtbl.create 256 in
-    let order = ref [] in
+    let table : st Rowtbl.t = Rowtbl.create key in
     let h = hold cfg in
     let parts = ref None in
-    let part_of k =
+    let part_of row =
       let arr =
         match !parts with
         | Some a -> a
@@ -351,36 +349,32 @@ let hash_agg (type st) cfg ?gov ?(acquire = ignore) ?(release = ignore)
             parts := Some a;
             a
       in
-      arr.(partition_of ~depth ~nparts k)
+      arr.(partition_of ~depth ~nparts (Rowtbl.hash key row))
     in
     let unbounded = depth >= max_depth in
     let rec load () =
       match input () with
       | None -> ()
       | Some row ->
-          let k = key row in
-          (match Hashtbl.find_opt table k with
-          | Some (_, st) -> absorb st row
-          | None ->
-              if unbounded || Hashtbl.length table < budget then begin
-                let st = fresh () in
-                absorb st row;
-                Hashtbl.add table k (row, st);
-                order := k :: !order;
-                acquire 1;
-                hold_rows ?gov h (Hashtbl.length table);
-                on_groups (Hashtbl.length table)
-              end
-              else
-                (* non-resident key: its rows all go to one partition *)
-                run_add ?gov cfg (part_of k) row);
+          let e = Rowtbl.find table key row in
+          if Rowtbl.found e then absorb (Rowtbl.data e) row
+          else if unbounded || Rowtbl.length table < budget then begin
+            let st = fresh () in
+            absorb st row;
+            Rowtbl.add table row st;
+            acquire 1;
+            hold_rows ?gov h (Rowtbl.length table);
+            on_groups (Rowtbl.length table)
+          end
+          else
+            (* non-resident key: its rows all go to one partition *)
+            run_add ?gov cfg (part_of row) row;
           load ()
     in
     load ();
     (* resident groups stream out in first-seen order; spilled
        partitions follow, so no global order is promised *)
-    let keys = Array.of_list (List.rev !order) in
-    let ki = ref 0 in
+    let resident = Rowtbl.to_stream table emit in
     let dropped = ref false in
     let pending =
       ref
@@ -390,34 +384,29 @@ let hash_agg (type st) cfg ?gov ?(acquire = ignore) ?(release = ignore)
     in
     let sub = ref None in
     let rec next () =
-      if !ki < Array.length keys then begin
-        let k = keys.(!ki) in
-        incr ki;
-        let repr, st = Hashtbl.find table k in
-        Some (emit repr st)
-      end
-      else begin
-        if not !dropped then begin
-          dropped := true;
-          release (Hashtbl.length table);
-          Hashtbl.reset table;
-          hold_drop h
-        end;
-        match !sub with
-        | Some s -> (
-            match s () with
-            | Some row -> Some row
-            | None ->
-                sub := None;
-                next ())
-        | None -> (
-            match !pending with
-            | [] -> None
-            | r :: rest ->
-                pending := rest;
-                sub := Some (process (depth + 1) (run_stream ?gov cfg r));
-                next ())
-      end
+      match resident () with
+      | Some row -> Some row
+      | None -> (
+          if not !dropped then begin
+            dropped := true;
+            release (Rowtbl.length table);
+            Rowtbl.reset table;
+            hold_drop h
+          end;
+          match !sub with
+          | Some s -> (
+              match s () with
+              | Some row -> Some row
+              | None ->
+                  sub := None;
+                  next ())
+          | None -> (
+              match !pending with
+              | [] -> None
+              | r :: rest ->
+                  pending := rest;
+                  sub := Some (process (depth + 1) (run_stream ?gov cfg r));
+                  next ()))
     in
     next
   in
@@ -432,70 +421,70 @@ let grace_join cfg ?gov ?(acquire = ignore) ?(release = ignore) ~lkey ~rkey
   let budget = rows_budget cfg in
   let nparts = nparts_of cfg in
   let rec process depth (left : row_stream) (right : row_stream) : row_stream =
-    let table : (Value.t list, Row.t) Hashtbl.t = Hashtbl.create 1024 in
-    let count = ref 0 in
+    let table : unit Rowtbl.t = Rowtbl.create lkey in
     let h = hold cfg in
     let grace = ref false in
     let lparts = Array.init nparts (fun _ -> run_create ()) in
-    let part k = lparts.(partition_of ~depth ~nparts k) in
+    let part row =
+      lparts.(partition_of ~depth ~nparts (Rowtbl.hash lkey row))
+    in
     let unbounded = depth >= max_depth in
     let rec build () =
       match left () with
       | None -> ()
       | Some row ->
-          (match lkey row with
-          | None -> () (* NULL join key: inner join drops the row *)
-          | Some k ->
-              if (not !grace) && (unbounded || !count < budget) then begin
-                Hashtbl.add table k row;
-                incr count;
-                acquire 1;
-                hold_rows ?gov h !count
-              end
-              else begin
-                if not !grace then begin
-                  (* budget breached: degrade to partitioning, dumping
-                     the resident build rows first *)
-                  grace := true;
-                  Hashtbl.iter (fun k row -> run_add ?gov cfg (part k) row)
-                    table;
-                  Hashtbl.reset table;
-                  release !count;
-                  count := 0;
-                  hold_drop h
-                end;
-                run_add ?gov cfg (part k) row
-              end);
+          (* a NULL join key never matches: inner join drops the row *)
+          if Row.non_null_on lkey row then
+            if (not !grace) && (unbounded || Rowtbl.length table < budget)
+            then begin
+              Rowtbl.add table row ();
+              acquire 1;
+              hold_rows ?gov h (Rowtbl.length table)
+            end
+            else begin
+              if not !grace then begin
+                (* budget breached: degrade to partitioning, dumping
+                   the resident build rows first *)
+                grace := true;
+                Rowtbl.iter
+                  (fun row () -> run_add ?gov cfg (part row) row)
+                  table;
+                release (Rowtbl.length table);
+                Rowtbl.reset table;
+                hold_drop h
+              end;
+              run_add ?gov cfg (part row) row
+            end;
           build ()
     in
     build ();
     if not !grace then begin
       (* build fits: stream the probe against the resident table *)
-      let pending = ref [] in
+      let pending = ref Rowtbl.none in
       let cur = ref dummy_row in
       let closed = ref false in
       let rec next () =
-        match !pending with
-        | l :: rest -> (
-            pending := rest;
-            match combine l !cur with Some row -> Some row | None -> next ())
-        | [] -> (
-            match right () with
-            | None ->
-                if not !closed then begin
-                  closed := true;
-                  release !count;
-                  Hashtbl.reset table;
-                  hold_drop h
-                end;
-                None
-            | Some r -> (
-                match rkey r with
-                | None -> next ()
-                | Some k ->
-                    cur := r;
-                    pending := Hashtbl.find_all table k;
-                    next ()))
+        if Rowtbl.found !pending then begin
+          let l = Rowtbl.row !pending in
+          pending := Rowtbl.next table rkey !cur !pending;
+          match combine l !cur with Some row -> Some row | None -> next ()
+        end
+        else
+          match right () with
+          | None ->
+              if not !closed then begin
+                closed := true;
+                release (Rowtbl.length table);
+                Rowtbl.reset table;
+                hold_drop h
+              end;
+              None
+          | Some r ->
+              if Row.non_null_on rkey r then begin
+                cur := r;
+                pending := Rowtbl.find table rkey r
+              end;
+              next ()
       in
       next
     end
@@ -507,10 +496,10 @@ let grace_join cfg ?gov ?(acquire = ignore) ?(release = ignore) ~lkey ~rkey
         match right () with
         | None -> ()
         | Some r ->
-            (match rkey r with
-            | None -> ()
-            | Some k ->
-                run_add ?gov cfg rparts.(partition_of ~depth ~nparts k) r);
+            if Row.non_null_on rkey r then
+              run_add ?gov cfg
+                rparts.(partition_of ~depth ~nparts (Rowtbl.hash rkey r))
+                r;
             split ()
       in
       split ();

@@ -16,7 +16,6 @@
     executor adapts its batched cursors at the boundary.  None of them
     promises any output order. *)
 
-open Eager_value
 open Eager_schema
 open Eager_storage
 open Eager_robust
@@ -70,7 +69,7 @@ val hash_agg :
   ?acquire:(int -> unit) ->
   ?release:(int -> unit) ->
   ?on_groups:(int -> unit) ->
-  key:(Row.t -> Value.t list) ->
+  key:int array ->
   fresh:(unit -> 'st) ->
   absorb:('st -> Row.t -> unit) ->
   emit:(Row.t -> 'st -> Row.t) ->
@@ -84,15 +83,17 @@ val hash_agg :
     aggregate — decomposable or not — is computed over its full row
     set.  [emit repr st] maps a group's first-seen row and final state
     to an output row; [on_groups] reports the resident-table size after
-    each insertion (how the governor's group budget is charged). *)
+    each insertion (how the governor's group budget is charged).  Groups
+    are keyed on the columns [key] in a {!Rowtbl}, whose hash also picks
+    the partitions; resident groups come out first-seen. *)
 
 val grace_join :
   config ->
   ?gov:Governor.t ->
   ?acquire:(int -> unit) ->
   ?release:(int -> unit) ->
-  lkey:(Row.t -> Value.t list option) ->
-  rkey:(Row.t -> Value.t list option) ->
+  lkey:int array ->
+  rkey:int array ->
   combine:(Row.t -> Row.t -> Row.t option) ->
   left:row_stream ->
   right:row_stream ->
@@ -102,6 +103,8 @@ val grace_join :
     absorbs in memory until the budget, then degrades to hash
     partitioning (dumping the resident rows first); the probe side is
     partitioned the same way and each pair recurses like {!hash_agg}.
-    [lkey]/[rkey] return [None] for NULL join keys (dropped, inner-join
-    semantics); [combine l r] concatenates and applies the residual
-    predicate, returning [None] to filter the pair out. *)
+    [lkey]/[rkey] are the join-key columns of each side, paired
+    positionally; a row with a NULL key column is dropped (inner-join
+    semantics).  A probe row meets its in-memory matches newest-first.
+    [combine l r] concatenates and applies the residual predicate,
+    returning [None] to filter the pair out. *)

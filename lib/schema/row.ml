@@ -8,6 +8,13 @@ let project idxs row = Array.map (fun i -> row.(i)) idxs
 let null_eq_on idxs a b =
   Array.for_all (fun i -> Value.null_eq a.(i) b.(i)) idxs
 
+(* a top-level loop, not [Array.for_all]: no closure per probed row *)
+let rec non_null_from idxs (row : t) k =
+  k >= Array.length idxs
+  || ((not (Value.is_null row.(idxs.(k)))) && non_null_from idxs row (k + 1))
+
+let non_null_on idxs row = non_null_from idxs row 0
+
 let compare_on idxs a b =
   let n = Array.length idxs in
   let rec go k =

@@ -10,6 +10,10 @@ val null_eq_on : int array -> t -> t -> bool
 (** Row equivalence with respect to a column subset (paper Definition 1):
     pointwise [=ⁿ], i.e. NULL equals NULL. *)
 
+val non_null_on : int array -> t -> bool
+(** No column of the subset is NULL: the rows an inner equi-join can
+    match on those columns. *)
+
 val compare_on : int array -> t -> t -> int
 (** Lexicographic total order on a column subset; consistent with
     [null_eq_on] (equal iff [null_eq_on]). *)

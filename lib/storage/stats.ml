@@ -41,9 +41,17 @@ let fraction_below h v =
     Float.max 0. (Float.min 1. (!below /. float_of_int h.total))
   end
 
+(* distinct values under [Row.key_on]'s equality, hashed in place *)
+module Vtbl = Hashtbl.Make (struct
+  type t = Value.t
+
+  let equal = Value.key_equal
+  let hash = Value.hash
+end)
+
 let collect heap =
   let arity = Schema.arity (Heap.schema heap) in
-  let seen = Array.init arity (fun _ -> Hashtbl.create 64) in
+  let seen = Array.init arity (fun _ -> Vtbl.create 64) in
   let nulls = Array.make arity 0 in
   let mins = Array.make arity Value.Null in
   let maxs = Array.make arity Value.Null in
@@ -53,8 +61,7 @@ let collect heap =
         let v = row.(i) in
         if Value.is_null v then nulls.(i) <- nulls.(i) + 1
         else begin
-          let key = Row.key_on [| 0 |] [| v |] in
-          if not (Hashtbl.mem seen.(i) key) then Hashtbl.add seen.(i) key ();
+          Vtbl.replace seen.(i) v ();
           (if Value.is_null mins.(i) || Value.compare_total v mins.(i) < 0 then
              mins.(i) <- v);
           if Value.is_null maxs.(i) || Value.compare_total v maxs.(i) > 0 then
@@ -90,7 +97,7 @@ let collect heap =
     cols =
       Array.init arity (fun i ->
           {
-            ndv = Hashtbl.length seen.(i);
+            ndv = Vtbl.length seen.(i);
             nulls = nulls.(i);
             min_v = mins.(i);
             max_v = maxs.(i);

@@ -68,9 +68,10 @@ let compare_total a b =
    are left untouched rather than collapsed. *)
 let max_exact_int_float = 9007199254740992.
 
+let exact_int_float f = Float.is_integer f && Float.abs f <= max_exact_int_float
+
 let canonical_num = function
-  | Float f when Float.is_integer f && Float.abs f <= max_exact_int_float ->
-      Int (int_of_float f)
+  | Float f when exact_int_float f -> Int (int_of_float f)
   | v -> v
 
 let arith fi ff a b =
@@ -100,12 +101,30 @@ let neg = function
 let equal (a : t) (b : t) =
   match a, b with Float x, Float y -> x = y | _ -> a = b
 
+(* A multiplicative mix: sequential ints spread over the low bits that a
+   power-of-two bucket mask keeps. *)
+let hash_int x =
+  let h = x * 0x2545F4914F6CDD1D in
+  (h lxor (h lsr 29)) land max_int
+
+(* Within the exact range an integral Float hashes as the equal Int, so
+   the hash is constant on [canonical_num] classes. *)
 let hash = function
-  | Null -> 0
-  | Int x -> Hashtbl.hash x
-  | Float x -> if Float.is_integer x then Hashtbl.hash (int_of_float x) else Hashtbl.hash x
+  | Null -> 0x3c6ef372
+  | Int x -> hash_int x
+  | Float f -> if exact_int_float f then hash_int (int_of_float f) else Hashtbl.hash f
   | Str s -> Hashtbl.hash s
-  | Bool b -> Hashtbl.hash b
+  | Bool b -> if b then 0x1b873593 else 0x0e6546b6
+
+let key_equal a b =
+  match a, b with
+  | Int x, Int y -> x = y
+  | Float x, Float y -> Float.equal x y
+  | Int x, Float f | Float f, Int x -> exact_int_float f && int_of_float f = x
+  | Str x, Str y -> String.equal x y
+  | Bool x, Bool y -> Bool.equal x y
+  | Null, Null -> true
+  | _ -> false
 
 let to_string = function
   | Null -> "NULL"

@@ -61,5 +61,16 @@ val equal : t -> t -> bool
     [Float 1.] are distinct.  Used by tests. *)
 
 val hash : t -> int
+(** Hash of a value's {!canonical_num} class: an integral [Float] within
+    {!max_exact_int_float} hashes as the equal [Int], every NaN alike,
+    [-0.] as [0].  Constant on {!key_equal} classes; allocation-free. *)
+
+val key_equal : t -> t -> bool
+(** Grouping-key equality: [canonical_num a] and [canonical_num b] are
+    structurally equal ([compare] = 0).  So [Int 2] equals [Float 2.]
+    (up to 2^53), NaN equals NaN, [-0.] equals [0], NULL equals NULL,
+    and values of different types are distinct.  The equality of
+    {!Eager_schema.Row.key_on} keys, decided without building them. *)
+
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

@@ -790,6 +790,301 @@ let test_paged_pool_sweep () =
         pools)
     workloads
 
+(* ---------------- the row hash table ---------------- *)
+
+(* Every hash breaker keys on [Rowtbl], whose equality must be exactly
+   [Row.key_on]'s.  The reference here is the stdlib [Hashtbl] over
+   [Row.key_on] lists; the keys mix every class that equality has to
+   get right: NULL, Int, whole Floats (-0., 2^53, and 2^53+1, which no
+   Float holds), fractional Floats, NaN, Str and Bool. *)
+let two53 = 9007199254740992
+
+let mixed_keys =
+  [|
+    Value.Null; i 0; i 1; i (-1); i two53; i (two53 + 1); i (two53 + 2);
+    Value.Float 0.; Value.Float (-0.); Value.Float 1.; Value.Float (-1.);
+    Value.Float 9007199254740992.; Value.Float 9007199254740993.;
+    Value.Float 9007199254740994.; Value.Float 0.5; Value.Float (-2.5);
+    Value.Float Float.nan; Value.Float (-.Float.nan); s "a"; s "b"; s "";
+    Value.Bool true; Value.Bool false;
+  |]
+
+(* rows (k1, k2, tag): the tag identifies a row physically *)
+let mixed_rows st n =
+  let pick () = mixed_keys.(Random.State.int st (Array.length mixed_keys)) in
+  List.init n (fun t -> [| pick (); pick (); i t |])
+
+let tag (r : Row.t) = Row.to_string r
+
+(* reference groups, first-seen, each with its rows in input order *)
+let reference_groups idx rows =
+  let tbl = Hashtbl.create 64 and order = ref [] in
+  List.iter
+    (fun r ->
+      let k = Row.key_on idx r in
+      match Hashtbl.find_opt tbl k with
+      | Some members -> members := r :: !members
+      | None ->
+          Hashtbl.add tbl k (ref [ r ]);
+          order := k :: !order)
+    rows;
+  List.rev_map (fun k -> List.rev_map tag !(Hashtbl.find tbl k)) !order
+
+let test_rowtbl_differential () =
+  List.iter
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let rows = mixed_rows st 400 in
+      let probes = mixed_rows st 200 in
+      List.iter
+        (fun idx ->
+          let name = Printf.sprintf "seed %d, %d key column(s)" seed (Array.length idx) in
+          (* grouping: one entry per class, first-seen *)
+          let t = Rowtbl.create idx in
+          List.iter
+            (fun r ->
+              let members = Rowtbl.find_or_add t r (fun _ -> ref []) in
+              members := r :: !members)
+            rows;
+          let got = ref [] in
+          Rowtbl.iter (fun _ members -> got := List.rev_map tag !members :: !got) t;
+          let want = reference_groups idx rows in
+          Alcotest.(check int) (name ^ ": group count") (List.length want)
+            (Rowtbl.length t);
+          Alcotest.(check (list (list string)))
+            (name ^ ": groups, first-seen") want (List.rev !got);
+          (* join: every entry kept, a probe meets its matches newest-first *)
+          let build = Rowtbl.create idx and rbuild = Hashtbl.create 64 in
+          List.iter
+            (fun r ->
+              Rowtbl.add build r ();
+              Hashtbl.add rbuild (Row.key_on idx r) r)
+            rows;
+          List.iter
+            (fun p ->
+              let rec matches e =
+                if Rowtbl.found e then
+                  tag (Rowtbl.row e) :: matches (Rowtbl.next build idx p e)
+                else []
+              in
+              Alcotest.(check (list string))
+                (name ^ ": matches of " ^ tag p)
+                (List.map tag (Hashtbl.find_all rbuild (Row.key_on idx p)))
+                (matches (Rowtbl.find build idx p)))
+            probes)
+        [ [| 0 |]; [| 0; 1 |]; [| 1; 0 |] ])
+    [ 1; 2; 3; 4; 5 ]
+
+(* The same classes through the executor's hash breakers, in-memory and
+   spilling at a 4-page pool.  Columns are typed, so each class lives in
+   its own column: numbers (NULL, Int, whole and fractional Floats,
+   NaN) in a FLOAT column, strings and booleans beside it. *)
+let num_keys =
+  Array.of_list
+    (List.filter
+       (function Value.Null | Value.Int _ | Value.Float _ -> true | _ -> false)
+       (Array.to_list mixed_keys))
+
+let str_keys = [| Value.Null; s "a"; s "b" |]
+let bool_keys = [| Value.Null; Value.Bool true; Value.Bool false |]
+
+let typed_table rel =
+  Table_def.make rel
+    [
+      coldef "n" Ctype.Float; coldef "s" Ctype.String; coldef "b" Ctype.Bool;
+      coldef "v" Ctype.Int;
+    ]
+    []
+
+let typed_schema rel =
+  Schema.make
+    [
+      (cr rel "n", Ctype.Float); (cr rel "s", Ctype.String);
+      (cr rel "b", Ctype.Bool); (cr rel "v", Ctype.Int);
+    ]
+
+let typed_rows st n =
+  let pick a = a.(Random.State.int st (Array.length a)) in
+  List.init n (fun t -> [ pick num_keys; pick str_keys; pick bool_keys; i t ])
+
+let load_typed ?storage trows urows =
+  let db = Database.create ?storage () in
+  Database.create_table db (typed_table "T");
+  Database.create_table db (typed_table "U");
+  Database.load db "T" trows;
+  Database.load db "U" urows;
+  db
+
+let has_null idx (r : Row.t) = Array.exists (fun k -> Value.is_null r.(k)) idx
+
+(* reference outputs, in the order the in-memory breakers promise *)
+let reference_group idx rows =
+  let tbl = Hashtbl.create 64 and order = ref [] in
+  List.iter
+    (fun r ->
+      let k = Row.key_on idx r in
+      match Hashtbl.find_opt tbl k with
+      | Some (_, n, sum) ->
+          incr n;
+          sum := !sum + (match r.(3) with Value.Int v -> v | _ -> 0)
+      | None ->
+          Hashtbl.add tbl k (r, ref 1, ref (match r.(3) with Value.Int v -> v | _ -> 0));
+          order := k :: !order)
+    rows;
+  List.rev_map
+    (fun k ->
+      let first, n, sum = Hashtbl.find tbl k in
+      Row.to_string (Array.append (Row.project idx first) [| i !n; i !sum |]))
+    !order
+
+let reference_distinct idx rows =
+  let seen = Hashtbl.create 64 in
+  List.filter_map
+    (fun r ->
+      let k = Row.key_on idx r in
+      if Hashtbl.mem seen k then None
+      else begin
+        Hashtbl.add seen k ();
+        Some (Row.to_string (Row.project idx r))
+      end)
+    rows
+
+let reference_join idx trows urows =
+  let build = Hashtbl.create 64 in
+  List.iter
+    (fun t -> if not (has_null idx t) then Hashtbl.add build (Row.key_on idx t) t)
+    trows;
+  List.concat_map
+    (fun u ->
+      if has_null idx u then []
+      else
+        List.map
+          (fun t -> Row.to_string (Row.concat t u))
+          (Hashtbl.find_all build (Row.key_on idx u)))
+    urows
+
+let test_hash_breakers_differential () =
+  let keysets = [ [ "n" ]; [ "n"; "s"; "b" ]; [ "b"; "n" ] ] in
+  List.iter
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let trows = typed_rows st 300 and urows = typed_rows st 300 in
+      let arr = List.map Array.of_list in
+      let ram = load_typed trows urows in
+      let paged =
+        load_typed
+          ~storage:{ Database.pool_pages = Some 4; page_size = 1024; spill_dir = None }
+          trows urows
+      in
+      Fun.protect
+        ~finally:(fun () -> Database.close_storage paged)
+        (fun () ->
+          List.iter
+            (fun keys ->
+              let by = List.map (cr "T") keys in
+              let idx = Schema.indices (typed_schema "T") by in
+              let group =
+                Plan.group ~by
+                  ~aggs:[ Agg.count_star (cr "" "c"); Agg.sum (cr "" "t") (Expr.col "T" "v") ]
+                  (Plan.scan ~table:"T" ~rel:"T" (typed_schema "T"))
+              in
+              let distinct =
+                Plan.project ~dedup:true by
+                  (Plan.scan ~table:"T" ~rel:"T" (typed_schema "T"))
+              in
+              let join =
+                Plan.join
+                  (Expr.conj
+                     (List.map (fun c -> Expr.eq (Expr.col "T" c) (Expr.col "U" c)) keys))
+                  (Plan.scan ~table:"T" ~rel:"T" (typed_schema "T"))
+                  (Plan.scan ~table:"U" ~rel:"U" (typed_schema "U"))
+              in
+              let cases =
+                [
+                  ("group", group, reference_group idx (arr trows));
+                  ("distinct", distinct, reference_distinct idx (arr trows));
+                  ("join", join, reference_join idx (arr trows) (arr urows));
+                ]
+              in
+              List.iter
+                (fun (what, plan, want) ->
+                  let name =
+                    Printf.sprintf "seed %d %s on %s" seed what (String.concat "," keys)
+                  in
+                  let options =
+                    { Exec.default_options with join_algo = Exec.Hash_join;
+                      group_algo = Exec.Hash_group }
+                  in
+                  (* in memory: first-seen groups, probe order, newest-first *)
+                  Alcotest.(check (list string)) (name ^ " in memory") want
+                    (List.map Row.to_string (Exec.run_rows ~options ram plan));
+                  (* spilling: the same rows, in no promised order *)
+                  let sp = Spill.for_db paged in
+                  let options = { options with spill = sp } in
+                  Alcotest.(check (list string)) (name ^ " spilling, 4 pages")
+                    (List.sort compare want)
+                    (List.sort compare
+                       (List.map Row.to_string (Exec.run_rows ~options paged plan)));
+                  (* a join's build side always overflows the budget; a
+                     group table when it has more groups than the budget *)
+                  let sp = Option.get sp in
+                  if what = "join" || List.length want > Spill.rows_budget sp then
+                    Alcotest.(check bool) (name ^ " wrote spill runs") true
+                      (Spill.run_pages sp > 0))
+                cases)
+            keysets))
+    [ 11; 12; 13 ]
+
+(* SUM folds exactly as [Value.add] does, across its Int, Float and
+   generic modes; MIN/MAX as [compare_total]; AVG over non-NULLs. *)
+let test_accumulators_fold_like_value () =
+  let schema = Schema.make [ (cr "T" "x", Ctype.Float) ] in
+  let x = Expr.col "T" "x" in
+  let aggs =
+    [ Agg.sum (cr "" "s") x; Agg.min_ (cr "" "mn") x; Agg.max_ (cr "" "mx") x;
+      Agg.avg (cr "" "av") x; Agg.count_distinct (cr "" "cd") x ]
+  in
+  let compiled = Agg_exec.compile schema aggs in
+  let pool =
+    [| Value.Null; i 3; i (-7); Value.Float 0.25; Value.Float (-0.);
+       Value.Float 2.; Value.Float Float.nan; s "z"; Value.Bool true |]
+  in
+  List.iter
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      (* numeric-only streams exercise the Int/Float modes; seeds >= 10
+         let Str/Bool in, which drops SUM to its generic fold *)
+      let n = if seed < 10 then 6 else Array.length pool in
+      let vals = List.init 20 (fun _ -> pool.(Random.State.int st n)) in
+      let state = Agg_exec.fresh compiled in
+      List.iter (fun v -> Agg_exec.update compiled state [| v |]) vals;
+      let got = Agg_exec.finalize compiled state in
+      let nn = List.filter (fun v -> not (Value.is_null v)) vals in
+      let fold f = match nn with [] -> Value.Null | v :: rest -> List.fold_left f v rest in
+      let pick c a b = if c (Value.compare_total b a) then b else a in
+      let avg =
+        if nn = [] then Value.Null
+        else
+          let total =
+            List.fold_left
+              (fun acc v ->
+                acc +. match v with Value.Int k -> float_of_int k | Value.Float f -> f | _ -> 0.)
+              0. nn
+          in
+          Value.Float (total /. float_of_int (List.length nn))
+      in
+      let distinct = Hashtbl.create 8 in
+      List.iter (fun v -> Hashtbl.replace distinct (Row.key_on [| 0 |] [| v |]) ()) nn;
+      let want =
+        [| fold Value.add; fold (pick (fun c -> c < 0)); fold (pick (fun c -> c > 0));
+           avg; i (Hashtbl.length distinct) |]
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d: %s" seed
+           (String.concat " " (List.map Value.to_string vals)))
+        (Row.to_string want) (Row.to_string got))
+    (List.init 20 Fun.id)
+
 (* ---------------- multiset equality ---------------- *)
 
 let test_multiset_equal () =
@@ -907,6 +1202,15 @@ let () =
         ] );
       ( "multiset",
         [ Alcotest.test_case "multiset_equal" `Quick test_multiset_equal ] );
+      ( "row hash table",
+        [
+          Alcotest.test_case "differential against Row.key_on" `Quick
+            test_rowtbl_differential;
+          Alcotest.test_case "hash breakers, in memory and spilling" `Quick
+            test_hash_breakers_differential;
+          Alcotest.test_case "accumulators fold like Value" `Quick
+            test_accumulators_fold_like_value;
+        ] );
       ( "stats",
         [
           Alcotest.test_case "operator tree" `Quick test_optree;

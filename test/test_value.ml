@@ -129,6 +129,32 @@ let test_compare_total () =
   Alcotest.(check bool) "1 before 2" true
     (Value.compare_total (Value.Int 1) (Value.Int 2) < 0)
 
+(* The grouping-key equality is equality of [canonical_num] forms, and
+   [hash] is constant on its classes — across the 2^53 edge, signed
+   zeros, NaNs and huge whole Floats that stay Floats. *)
+let test_key_equal_and_hash () =
+  let two53 = 9007199254740992 in
+  let pool =
+    Value.
+      [
+        Null; Int 0; Int 1; Int two53; Int (two53 + 1); Int (two53 + 2);
+        Float 0.; Float (-0.); Float 1.; Float 9007199254740992.;
+        Float 9007199254740994.; Float 1e300; Float 0.5; Float Float.nan;
+        Float (-.Float.nan); Str "a"; Str ""; Bool true; Bool false;
+      ]
+  in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          let name = Value.to_string a ^ " vs " ^ Value.to_string b in
+          let same = compare (Value.canonical_num a) (Value.canonical_num b) = 0 in
+          Alcotest.(check bool) ("key_equal " ^ name) same (Value.key_equal a b);
+          if same then
+            Alcotest.(check int) ("hash " ^ name) (Value.hash a) (Value.hash b))
+        pool)
+    pool
+
 (* ---------------- qcheck generators and properties ---------------- *)
 
 let value_gen : Value.t QCheck.arbitrary =
@@ -224,6 +250,8 @@ let () =
           Alcotest.test_case "cmp values" `Quick test_cmp_values;
           Alcotest.test_case "arithmetic" `Quick test_arith;
           Alcotest.test_case "total order" `Quick test_compare_total;
+          Alcotest.test_case "key equality and hash" `Quick
+            test_key_equal_and_hash;
         ] );
       qsuite "properties"
         [

@@ -185,6 +185,19 @@ while IFS= read -r hit; do
 done < <(grep -rnw --include='*.ml' 'apply_order' lib bin |
   grep -vE '^lib/(server/statement|parser/binder)\.ml:' || true)
 
+# One hash table under every hash breaker: the executor's joins,
+# groupings and DISTINCT, in memory (exec.ml) and spilling (spill.ml),
+# key on Rowtbl, which hashes and compares key columns in place.  A
+# Row.key_on list key or a private Hashtbl there is a second table
+# growing back.  ref_eval.ml, the reference oracle, keeps its own on
+# purpose and is not matched.
+while IFS= read -r hit; do
+  echo "lint: hash breaker off the shared row table: $hit" >&2
+  echo "lint: key joins, groups and DISTINCT on Rowtbl" >&2
+  echo "lint: (lib/exec/rowtbl.ml), not Row.key_on or a new Hashtbl." >&2
+  bad=1
+done < <(grep -nE 'Row\.key_on|Hashtbl\.create' lib/exec/exec.ml lib/exec/spill.ml || true)
+
 # no allowlist for nondeterminism: Random.self_init and the global
 # generator are banned outright (Random.State through Gen is the only
 # sanctioned source of randomness)
