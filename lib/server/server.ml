@@ -648,6 +648,13 @@ let pool_line t =
            s.resident s.pinned s.peak_pinned s.dirty (hit_rate s) s.hits
            s.misses s.evictions s.page_reads s.page_writes)
 
+(* the statistics line of STATUS: how the cache shared by the live
+   database and every snapshot answered the planner's lookups *)
+let stats_line t =
+  let c = Database.stats_counters (db_of t) in
+  Printf.sprintf "stats: stats_collects=%d stats_extends=%d stats_hits=%d"
+    c.Database.collects c.Database.extends c.Database.hits
+
 let status_report t =
   let repl =
     match (repl_line t, failover_line t) with
@@ -656,7 +663,7 @@ let status_report t =
     | None, Some b -> Some b
     | Some a, Some b -> Some (a ^ "\n" ^ b)
   in
-  Telemetry.render ?repl ?pool:(pool_line t) t.tel
+  Telemetry.render ?repl ?pool:(pool_line t) ~stats:(stats_line t) t.tel
     ~snapshot_lsn:(current_lsn t) ~sessions:(Admission.sessions t.adm)
     ~active:(Admission.active t.adm) ~queued:(Admission.queued t.adm)
 

@@ -118,7 +118,7 @@ let session_line s =
     s.id s.queries s.rows_pulled s.batches s.wal_bytes s.refusals
     s.degradations s.errors
 
-let render ?repl ?pool t ~snapshot_lsn ~sessions ~active ~queued =
+let render ?repl ?pool ?stats t ~snapshot_lsn ~sessions ~active ~queued =
   locked t (fun () ->
       let buf = Buffer.create 256 in
       Buffer.add_string buf
@@ -130,16 +130,13 @@ let render ?repl ?pool t ~snapshot_lsn ~sessions ~active ~queued =
            sessions t.g_connected active queued t.g_queries t.g_rows
            t.g_wal_bytes t.g_group_commits t.g_grouped_stmts t.g_refusals
            t.g_degradations t.g_errors t.g_fenced snapshot_lsn);
-      (match pool with
-      | Some line ->
-          Buffer.add_string buf line;
-          Buffer.add_char buf '\n'
-      | None -> ());
-      (match repl with
-      | Some line ->
-          Buffer.add_string buf line;
-          Buffer.add_char buf '\n'
-      | None -> ());
+      List.iter
+        (function
+          | Some line ->
+              Buffer.add_string buf line;
+              Buffer.add_char buf '\n'
+          | None -> ())
+        [ pool; stats; repl ];
       List.iter
         (fun s ->
           Buffer.add_string buf (session_line s);

@@ -56,6 +56,7 @@ val session_line : session -> string
 val render :
   ?repl:string ->
   ?pool:string ->
+  ?stats:string ->
   t ->
   snapshot_lsn:int ->
   sessions:int ->
@@ -64,5 +65,6 @@ val render :
   string
 (** The full [STATUS] report: a global line (with the caller-supplied
     admission gauges and WAL position), the buffer-pool line when the
-    caller supplies one ([pool], a paged server), the replication line
-    when the caller supplies one, then one line per live session. *)
+    caller supplies one ([pool], a paged server), the statistics-cache
+    line ([stats]), the replication line when the caller supplies one,
+    then one line per live session. *)

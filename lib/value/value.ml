@@ -54,10 +54,13 @@ let compare_total a b =
   | Null, Null -> 0
   | Null, _ -> -1
   | _, Null -> 1
-  | _ -> (
-      match cmp_non_null a b with
-      | Some c -> c
-      | None -> compare (type_tag a) (type_tag b))
+  | Int x, Int y -> compare x y
+  | Float x, Float y -> compare x y
+  | Int x, Float y -> compare (float_of_int x) y
+  | Float x, Int y -> compare x (float_of_int y)
+  | Str x, Str y -> compare x y
+  | Bool x, Bool y -> compare x y
+  | _ -> compare (type_tag a) (type_tag b)
 
 (* 2^53: the largest magnitude below which int<->float round-trips are
    exact.  [cmp_non_null] settles mixed Int/Float comparisons by

@@ -198,6 +198,18 @@ while IFS= read -r hit; do
   bad=1
 done < <(grep -nE 'Row\.key_on|Hashtbl\.create' lib/exec/exec.ml lib/exec/spill.ml || true)
 
+# One statistics cache: the live database, its snapshots and their
+# reader views share it (Database.stats), and it extends cached
+# statistics when a heap grows instead of rescanning.  A Stats.collect
+# anywhere else in lib/ or bin/ rescans a whole table behind the
+# cache's back, once per call.
+while IFS= read -r hit; do
+  echo "lint: Stats.collect outside the shared statistics cache: $hit" >&2
+  echo "lint: ask Database.stats (lib/storage/database.ml) instead." >&2
+  bad=1
+done < <(grep -rn --include='*.ml' -E 'Stats\.collect[^_a-zA-Z0-9]|Stats\.collect$' lib bin |
+  grep -vE '^lib/storage/(stats|database)\.ml:' || true)
+
 # no allowlist for nondeterminism: Random.self_init and the global
 # generator are banned outright (Random.State through Gen is the only
 # sanctioned source of randomness)
