@@ -349,35 +349,6 @@ let report_pipeline () =
      rather than a plan the optimizer forces)";
   0
 
-let report_unique () =
-  section
-    "UNIQ — Klug/Dayal singleton-group optimisation (grouping on a derived \
-     key)";
-  let w = Sales.setup ~seed:!seed ~customers:500 ~orders:30_000 () in
-  let db = w.Sales.db in
-  let td =
-    Option.get (Catalog.find_table (Database.catalog db) "Orders")
-  in
-  let scan =
-    Plan.scan ~table:"Orders" ~rel:"O" (Table_def.schema ~rel:"O" td)
-  in
-  let g =
-    Plan.group
-      ~by:[ Colref.make "O" "OrderID" ]
-      ~aggs:[ Agg.sum (Colref.make "" "amt") (Expr.col "O" "Amount") ]
-      scan
-  in
-  let marked = Unique_group.mark db g in
-  let (h1, _), t_hash = time_ms (fun () -> Exec.run db g) in
-  let (h2, _), t_fast = time_ms (fun () -> Exec.run db marked) in
-  Printf.printf "%-36s %10s %10s\n" "plan" "rows" "time (ms)";
-  Printf.printf "%-36s %10d %10.2f\n" "hash grouping" (Heap.length h1) t_hash;
-  Printf.printf "%-36s %10d %10.2f\n" "singleton fast path (marked)"
-    (Heap.length h2) t_fast;
-  Printf.printf "results identical: %b\n"
-    (Exec.multiset_equal (Heap.to_list h1) (Heap.to_list h2));
-  0
-
 let report_sweep_scale () =
   section
     "SWEEP-N — scale sweep: Example 1 shape at growing sizes (100 \
@@ -697,40 +668,6 @@ let micro_tests () =
                fig1_db fig1_e2));
       Test.make ~name:"pipeline/e2-hashgroup-hashjoin"
         (Staged.stage (fun () -> Exec.run fig1_db fig1_e2));
-      (* unique-group fast path vs hash grouping on a key *)
-      (let sales = Sales.setup ~seed:!seed ~customers:100 ~orders:4_000 () in
-       let sdb = sales.Sales.db in
-       let std_ =
-         Option.get (Catalog.find_table (Database.catalog sdb) "Orders")
-       in
-       let sscan =
-         Plan.scan ~table:"Orders" ~rel:"O" (Table_def.schema ~rel:"O" std_)
-       in
-       let sgroup =
-         Plan.group
-           ~by:[ Colref.make "O" "OrderID" ]
-           ~aggs:[ Agg.sum (Colref.make "" "amt") (Expr.col "O" "Amount") ]
-           sscan
-       in
-       Test.make ~name:"unique-group/hash"
-         (Staged.stage (fun () -> Exec.run sdb sgroup)));
-      (let sales = Sales.setup ~seed:!seed ~customers:100 ~orders:4_000 () in
-       let sdb = sales.Sales.db in
-       let std_ =
-         Option.get (Catalog.find_table (Database.catalog sdb) "Orders")
-       in
-       let sscan =
-         Plan.scan ~table:"Orders" ~rel:"O" (Table_def.schema ~rel:"O" std_)
-       in
-       let sgroup =
-         Unique_group.mark sdb
-           (Plan.group
-              ~by:[ Colref.make "O" "OrderID" ]
-              ~aggs:[ Agg.sum (Colref.make "" "amt") (Expr.col "O" "Amount") ]
-              sscan)
-       in
-       Test.make ~name:"unique-group/fast-path"
-         (Staged.stage (fun () -> Exec.run sdb sgroup)));
     ]
 
 let run_micro () =
@@ -1073,7 +1010,6 @@ let reports =
     ("sweep-groups", report_sweep_groups);
     ("sweep-selectivity", report_sweep_selectivity);
     ("pipeline", report_pipeline);
-    ("unique", report_unique);
     ("sweep-scale", report_sweep_scale);
     ("estimator", report_estimator);
     ("batch-sweep", report_batch_sweep);

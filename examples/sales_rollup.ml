@@ -52,12 +52,4 @@ let () =
   let rows_eager = Exec.run_rows dbh (Plans.e2 dbh qh) in
   Printf.printf "big customers: %d; eager and lazy agree: %b\n"
     (List.length rows_lazy)
-    (Exec.multiset_equal rows_lazy rows_eager);
-
-  (* unique-group detection: grouping the join by the order key would make
-     every group a singleton — the optimizer can prove it *)
-  let join_plan = Plans.side1 dbh qh in
-  Printf.printf "\ngrouping orders by their primary key is provably singleton: %b\n"
-    (Unique_group.groups_are_unique dbh
-       ~by:[ Colref.make "O" "OrderID" ]
-       join_plan)
+    (Exec.multiset_equal rows_lazy rows_eager)

@@ -11,7 +11,6 @@ type t =
       by : Colref.t list;
       aggs : Agg.t list;
       scalar : bool;
-      unique_groups : bool;
       input : t;
     }
   | Partial_group of {
@@ -33,10 +32,10 @@ let join pred left right = Join { pred; left; right }
 let sort by input = if by = [] then input else Sort { by; input }
 let map_items items input = Map { items; input }
 
-let group ?(scalar = false) ?(unique_groups = false) ~by ~aggs input =
+let group ?(scalar = false) ~by ~aggs input =
   if scalar && by <> [] then
     invalid_arg "Plan.group: scalar aggregation cannot have grouping columns";
-  Group { by; aggs; scalar; unique_groups; input }
+  Group { by; aggs; scalar; input }
 
 let partial_group ~by ~aggs ~cap input =
   if cap < 1 then
@@ -106,9 +105,8 @@ let node_label = function
               (fun (c, desc) ->
                 Colref.to_string c ^ if desc then " DESC" else "")
               by))
-  | Group { by; aggs; unique_groups; _ } ->
-      Printf.sprintf "GroupBy%s [%s]%s"
-        (if unique_groups then " (unique)" else "")
+  | Group { by; aggs; _ } ->
+      Printf.sprintf "GroupBy [%s]%s"
         (String.concat ", " (List.map Colref.to_string by))
         (match aggs with
         | [] -> ""

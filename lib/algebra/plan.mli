@@ -26,14 +26,6 @@ type t =
               paper Theorem 1 Case 1).  [scalar = true] is SQL aggregation
               without GROUP BY: always exactly one row; requires
               [by = []]. *)
-      unique_groups : bool;
-          (** An optimizer promise that [by] functionally determines the
-              whole input row (it contains a derived key), so every group
-              is a singleton: the executor skips hashing/sorting and maps
-              rows directly — Klug's observation with Dayal's key
-              condition, generalised to derived keys (paper Section 2).
-              Set by [Eager_opt.Unique_group.mark]; unsound if the promise
-              is false. *)
       input : t;
     }
   | Partial_group of {
@@ -77,12 +69,11 @@ val project : ?dedup:bool -> Colref.t list -> t -> t
 val join : Expr.t -> t -> t -> t
 val group :
   ?scalar:bool ->
-  ?unique_groups:bool ->
   by:Colref.t list ->
   aggs:Agg.t list ->
   t ->
   t
-(** [scalar] and [unique_groups] default to [false]; raises
+(** [scalar] defaults to [false]; raises
     [Invalid_argument] if [scalar] is set with non-empty [by]. *)
 
 val partial_group : by:Colref.t list -> aggs:Agg.t list -> cap:int -> t -> t

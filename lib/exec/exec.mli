@@ -53,16 +53,21 @@ type options = {
           above {!Batch.max_capacity} are clamped, so [batch_rows =
           max_int] emulates operator-at-a-time materialization *)
   spill : Spill.config option;
-      (** when set, every pipeline breaker runs against a per-operator
-          page budget: sorts become external merge sorts, hash
-          aggregation and DISTINCT spill non-resident keys to hash
-          partitions, hash joins degrade to grace partitioning, and
-          [Partial_group] caps its table at the same budget.  In-budget
-          state is reserved against the buffer pool (visible in the
-          pinned-page telemetry); overflow goes to runs on the scratch
-          pager.  Spilling operators promise no output order.  [None]
-          (the default) keeps every breaker fully in memory, exactly as
-          before *)
+      (** the statement's breaker budget.  The sort, the hash join's
+          build side, hash aggregation and DISTINCT each have one
+          implementation that spills when its budget is reached: the
+          sort writes sorted runs and merges them, hash aggregation and
+          DISTINCT send non-resident keys to hash partitions, and the
+          hash join degrades to grace partitioning; sort grouping sorts
+          through the same sort, and [Partial_group] caps its table at
+          the same budget.  In-budget state is reserved against the
+          buffer pool (visible in the pinned-page telemetry); overflow
+          goes to runs on the scratch pager.  [None] (the default, the
+          RAM engine) is the unbounded budget: nothing spills and every
+          one of these breakers runs in memory.  Merge join inputs, the
+          nested-loop inner side and index candidate lists are held in
+          memory under any budget.  Under a config, the hash breakers
+          promise no output order (the sorts still do) *)
 }
 
 val default_options : options

@@ -8,8 +8,8 @@
    aggregate accumulators) and none of the operator algorithms: joins
    are always nested loops over full predicates, grouping and DISTINCT
    hash [Row.key_on] lists in the stdlib [Hashtbl] rather than [Exec]'s
-   [Rowtbl] (the [unique_groups] fast path is ignored), and no order is
-   tracked.  An agreement bug in [Exec] therefore cannot hide here.
+   [Rowtbl], and no order is tracked.  An agreement bug in [Exec]
+   therefore cannot hide here.
 
    This file is exempt from the lint ban on whole-relation
    materialization in lib/exec — materializing is its entire point. *)
@@ -95,7 +95,7 @@ let eval ?(params = Expr.no_params) db (plan : Plan.t) : Row.t list =
                   if Tbool.holds (test row) then Some row else None)
                 rs)
             ls )
-    | Plan.Group { by; aggs; scalar; unique_groups = _; input } ->
+    | Plan.Group { by; aggs; scalar; input } ->
         let in_schema, rows = go input in
         let by_idx = Schema.indices in_schema by in
         let compiled = Agg_exec.compile ~params in_schema aggs in
@@ -131,7 +131,6 @@ let eval ?(params = Expr.no_params) db (plan : Plan.t) : Row.t list =
         (* A full group table is a valid partial aggregation (the flush
            cap was simply never reached), so the reference semantics are
            plain grouping — one (group, partial) row per group. *)
-        go (Plan.Group { by; aggs; scalar = false; unique_groups = false;
-                         input })
+        go (Plan.Group { by; aggs; scalar = false; input })
   in
   snd (go plan)

@@ -3,7 +3,7 @@
     The materialized oracle the batched pull pipeline is differentially
     tested against: every operator builds its complete output list
     before the parent sees it, joins are always nested loops, grouping
-    is always generic (the [unique_groups] fast path is ignored).  Slow
+    is always generic.  Slow
     and simple on purpose — it shares no operator algorithm with
     {!Exec}, so the two agreeing on every fuzz-corpus query at every
     batch size is meaningful evidence. *)

@@ -1,32 +1,23 @@
-(* Spill-to-disk paths for the pipeline breakers.
+(* Spill-to-disk machinery for the pipeline breakers.
 
-   Every breaker (sort buffer, aggregation table, hash-join build) gets a
-   per-operator memory budget expressed in buffer-pool pages.  State
-   within budget is *reserved* against the pool — it competes with
+   Every breaker (sort buffer, aggregation table, DISTINCT seen-set,
+   hash-join build) runs against its statement's [budget].  A bounded
+   budget comes from a [config] and is expressed in buffer-pool pages.
+   State within budget is *reserved* against the pool — it competes with
    cached pages for capacity and counts into the pinned telemetry, so
    "peak pinned pages" measures an execution's true working set.  State
    over budget goes to *runs*: sequences of checksummed pages on the
    scratch pager, written write-through and read back uncached (a run is
    written once and read once; caching it would pollute the hot set).
 
-   Three algorithms share the run machinery:
+   The unbounded budget (no config: the RAM engine) has no pool, holds
+   reserve nothing and no breaker ever reaches its row limit, so the
+   executor's spilling breakers run as plain in-memory ones.
 
-   - [sort]: classic external merge sort — sorted runs of [budget] rows,
-     then k-way merges at fan-in [budget_pages - 1] (one page buffer per
-     input run) until one streaming merge remains;
-
-   - [hash_agg]: adaptive spilling hash aggregation — groups absorb into
-     the table until it reaches the budget; rows of non-resident keys
-     spill to hash-partitioned runs, and each partition recurses with a
-     re-salted hash.  A key's rows are either all absorbed or all in one
-     partition, so the algorithm is correct for non-decomposable
-     aggregates; depth is capped, with an unbounded in-memory fallback
-     at the bottom for adversarial key distributions;
-
-   - [grace_join]: grace hash join — the build side absorbs until
-     budget, then degrades to partitioning (dumping the table first),
-     the probe side partitions the same way, and each partition pair
-     recurses like [hash_agg].
+   This module keeps only what the breakers share: budgets, holds
+   (reservations), runs, hash partitions and the stable k-way merge.  The
+   algorithms themselves — external sort, grace hash join, spilling hash
+   aggregation and DISTINCT — are the executor's breaker cursors.
 
    A [config] is per-statement: it tracks the pages it reserved so
    [cleanup] (run from the executor's unwind path) can return them to
@@ -35,8 +26,6 @@
 open Eager_schema
 open Eager_storage
 open Eager_robust
-
-type row_stream = unit -> Row.t option
 
 type config = {
   pool : Buffer_pool.t;
@@ -82,8 +71,8 @@ let run_pages cfg = cfg.run_pages_written
 let budget_pages cfg = cfg.budget_pages
 let pages_of_rows cfg n = (n + cfg.page_rows - 1) / cfg.page_rows
 
-let reserve ?gov cfg n =
-  Buffer_pool.reserve ?gov cfg.pool n;
+let reserve ~gov cfg n =
+  Buffer_pool.reserve ~gov cfg.pool n;
   cfg.held_pages <- cfg.held_pages + n
 
 let release_pages cfg n =
@@ -96,6 +85,28 @@ let cleanup cfg =
     cfg.held_pages <- 0
   end
 
+(* ---------------- budgets ---------------- *)
+
+type budget = { cfg : config option; gov : Governor.t; rows : int }
+
+let budget ~gov cfg =
+  { cfg; gov; rows = (match cfg with Some c -> rows_budget c | None -> max_int) }
+
+let bounded b = Option.is_some b.cfg
+let rows b = b.rows
+
+(* Past [max_depth] a partition is absorbed whatever its size: the
+   unbounded in-memory fallback that guarantees termination on
+   adversarial key distributions. *)
+let max_depth = 6
+let limit b ~depth = if depth >= max_depth then max_int else b.rows
+let release_all b = Option.iter cleanup b.cfg
+
+let spill_cfg b =
+  match b.cfg with
+  | Some cfg -> cfg
+  | None -> invalid_arg "Spill: an unbounded budget never spills"
+
 (* A hold resizes one structure's reservation as it grows or shrinks,
    clamped so the statement's TOTAL reservation never exceeds the
    budget: the budget is shared by every breaker of the statement
@@ -104,24 +115,28 @@ let cleanup cfg =
    stays available for pinned scan frames.  The max-depth fallbacks may
    hold more rows than the clamp admits; honest accounting up to the
    clamp keeps them runnable rather than failing the query on a
-   reservation the pool cannot grant. *)
-type hold = { hcfg : config; mutable hpages : int }
+   reservation the pool cannot grant.  Under the unbounded budget a
+   hold reserves nothing. *)
+type hold = { hcfg : config option; hgov : Governor.t; mutable hpages : int }
 
-let hold cfg = { hcfg = cfg; hpages = 0 }
+let hold b = { hcfg = b.cfg; hgov = b.gov; hpages = 0 }
 
-let hold_rows ?gov h n =
-  let others = h.hcfg.held_pages - h.hpages in
-  let target =
-    min (pages_of_rows h.hcfg n) (max 0 (h.hcfg.budget_pages - others))
-  in
-  if target > h.hpages then begin
-    reserve ?gov h.hcfg (target - h.hpages);
-    h.hpages <- target
-  end
-  else if target < h.hpages then begin
-    release_pages h.hcfg (h.hpages - target);
-    h.hpages <- target
-  end
+let hold_rows h n =
+  match h.hcfg with
+  | None -> ()
+  | Some cfg ->
+      let others = cfg.held_pages - h.hpages in
+      let target =
+        min (pages_of_rows cfg n) (max 0 (cfg.budget_pages - others))
+      in
+      if target > h.hpages then begin
+        reserve ~gov:h.hgov cfg (target - h.hpages);
+        h.hpages <- target
+      end
+      else if target < h.hpages then begin
+        release_pages cfg (h.hpages - target);
+        h.hpages <- target
+      end
 
 let hold_drop h = hold_rows h 0
 
@@ -140,13 +155,13 @@ let run_create () =
 
 let run_rows r = r.total
 
-let run_flush_tail ?gov cfg r =
+let run_flush_tail b cfg r =
   if r.tail_rows > 0 then begin
     (* the fault point fires before the page lands, so an injected IO
        failure leaves a clean (shorter) run *)
     Fault.trip "exec.spill";
     let page = Array.of_list (List.rev r.tail) in
-    let pid = Buffer_pool.append_page ?gov cfg.pool cfg.scratch page in
+    let pid = Buffer_pool.append_page ~gov:b.gov cfg.pool cfg.scratch page in
     cfg.run_pages_written <- cfg.run_pages_written + 1;
     r.pids <- pid :: r.pids;
     r.tail <- [];
@@ -154,7 +169,8 @@ let run_flush_tail ?gov cfg r =
     r.tail_bytes <- 0
   end
 
-let run_add ?gov cfg r row =
+let run_add b r row =
+  let cfg = spill_cfg b in
   let rb = Page.row_bytes row in
   let cap = Page.capacity ~page_size:(Pager.page_size cfg.scratch) in
   if rb > cap then
@@ -163,35 +179,40 @@ let run_add ?gov cfg r row =
        --page-size)"
       rb cap;
   if r.tail_rows >= cfg.page_rows || r.tail_bytes + rb > cap then
-    run_flush_tail ?gov cfg r;
+    run_flush_tail b cfg r;
   r.tail <- row :: r.tail;
   r.tail_rows <- r.tail_rows + 1;
   r.tail_bytes <- r.tail_bytes + rb;
   r.total <- r.total + 1
 
-(* Seal the run and stream it back page by page (one page of rows live
-   at a time, read uncached). *)
-let run_stream ?gov cfg r : row_stream =
-  run_flush_tail ?gov cfg r;
+(* Seal the run and read it back one page at a time (uncached), each
+   page sliced into batches of at most [batch_rows] rows. *)
+let run_reader b ~batch_rows schema r : unit -> Batch.t option =
+  let cfg = spill_cfg b in
+  run_flush_tail b cfg r;
   let pids = ref (List.rev r.pids) in
   let page = ref [||] in
-  let i = ref 0 in
+  let pos = ref 0 in
   let rec next () =
-    if !i < Array.length !page then begin
-      let row = (!page).(!i) in
-      incr i;
-      Some row
+    let n = Array.length !page in
+    if !pos < n then begin
+      let k = min batch_rows (n - !pos) in
+      let slice = if k = n then !page else Array.sub !page !pos k in
+      pos := !pos + k;
+      Some (Batch.of_array schema slice)
     end
     else
       match !pids with
       | [] -> None
       | pid :: rest ->
           pids := rest;
-          page := Buffer_pool.read_page ?gov cfg.pool cfg.scratch pid;
-          i := 0;
+          page := Buffer_pool.read_page ~gov:b.gov cfg.pool cfg.scratch pid;
+          pos := 0;
           next ()
   in
   next
+
+(* ---------------- hash partitions ---------------- *)
 
 (* re-salted partition of a key hash ([Rowtbl.hash]): each recursion
    depth splits keys differently, so a partition that overflowed at depth
@@ -199,337 +220,134 @@ let run_stream ?gov cfg r : row_stream =
 let partition_of ~depth ~nparts h =
   Hashtbl.seeded_hash ((depth * 31) + 17) h mod nparts
 
-let max_depth = 6
+type parts = { pb : budget; pdepth : int; pruns : run array }
 
-let nparts_of cfg = max 2 (min 32 (cfg.budget_pages - 1))
+(* no runs at all under the unbounded budget, which never spills *)
+let parts b ~depth =
+  let n =
+    match b.cfg with
+    | None -> 0
+    | Some cfg -> max 2 (min 32 (cfg.budget_pages - 1))
+  in
+  { pb = b; pdepth = depth; pruns = Array.init n (fun _ -> run_create ()) }
 
-(* ---------------- external merge sort ---------------- *)
+let part_add p h row =
+  let nparts = Array.length p.pruns in
+  run_add p.pb p.pruns.(partition_of ~depth:p.pdepth ~nparts h) row
 
-let merge_streams cmp streams : row_stream =
-  let heads = Array.of_list (List.map (fun s -> (ref (s ()), s)) streams) in
-  let next () =
-    let best = ref (-1) in
-    Array.iteri
-      (fun i (p, _) ->
-        match !p with
-        | None -> ()
-        | Some r -> (
-            if !best < 0 then best := i
-            else
-              let pb, _ = heads.(!best) in
-              match !pb with
-              | Some rb when cmp rb r <= 0 -> ()
-              | _ -> best := i))
-      heads;
-    if !best < 0 then None
-    else begin
-      let p, s = heads.(!best) in
-      let row = Option.get !p in
-      p := s ();
-      Some row
+let part_runs p = p.pruns
+let spilled p = List.filter (fun r -> run_rows r > 0) (Array.to_list p.pruns)
+
+(* ---------------- stable k-way merge ---------------- *)
+
+type merge = {
+  mb : budget;
+  mcfg : config;
+  cmp : Row.t -> Row.t -> int;
+  pages : Row.t array array; (* each run's current page; [||] when drained *)
+  pos : int array;
+  unread : int list array; (* each run's pages still on disk *)
+  mhold : hold; (* the final merge's one page buffer per run *)
+}
+
+let load m i =
+  match m.unread.(i) with
+  | [] -> m.pages.(i) <- [||]
+  | pid :: rest ->
+      m.unread.(i) <- rest;
+      m.pages.(i) <-
+        Buffer_pool.read_page ~gov:m.mb.gov m.mcfg.pool m.mcfg.scratch pid;
+      m.pos.(i) <- 0
+
+let open_merge b ~cmp runs =
+  let cfg = spill_cfg b in
+  List.iter (run_flush_tail b cfg) runs;
+  let k = List.length runs in
+  let m =
+    {
+      mb = b;
+      mcfg = cfg;
+      cmp;
+      pages = Array.make k [||];
+      pos = Array.make k 0;
+      unread = Array.of_list (List.map (fun r -> List.rev r.pids) runs);
+      mhold = hold b;
+    }
+  in
+  for i = 0 to k - 1 do
+    load m i
+  done;
+  m
+
+(* The run whose head row is least, ties going to the earliest run (so
+   merging consecutive runs of a stable sort stays stable); -1 once every
+   run is drained. *)
+let least m =
+  let best = ref (-1) in
+  for i = 0 to Array.length m.pages - 1 do
+    if m.pos.(i) < Array.length m.pages.(i) then
+      if
+        !best < 0
+        || m.cmp m.pages.(i).(m.pos.(i)) m.pages.(!best).(m.pos.(!best)) < 0
+      then best := i
+  done;
+  !best
+
+let take m i =
+  let row = m.pages.(i).(m.pos.(i)) in
+  m.pos.(i) <- m.pos.(i) + 1;
+  if m.pos.(i) >= Array.length m.pages.(i) then load m i;
+  row
+
+let merge_fill m out =
+  let rec go () =
+    if not (Batch.is_full out) then begin
+      let i = least m in
+      if i >= 0 then begin
+        Batch.add out (take m i);
+        go ()
+      end
+      else hold_drop m.mhold
     end
   in
-  next
+  go ()
 
-let sort cfg ?gov ?(acquire = ignore) ?(release = ignore) ~cmp
-    (input : row_stream) : row_stream =
-  let budget = rows_budget cfg in
-  let h = hold cfg in
-  let buf = ref [] in
-  let n = ref 0 in
-  let runs = ref [] in
-  let flush_chunk () =
-    if !n > 0 then begin
-      let arr = Array.of_list (List.rev !buf) in
-      Array.stable_sort cmp arr;
-      let r = run_create () in
-      Array.iter (fun row -> run_add ?gov cfg r row) arr;
-      runs := r :: !runs;
-      release !n;
-      buf := [];
-      n := 0
-    end
-  in
-  let rec load () =
-    match input () with
-    | None -> ()
-    | Some row ->
-        buf := row :: !buf;
-        incr n;
-        acquire 1;
-        hold_rows ?gov h !n;
-        if !n >= budget then flush_chunk ();
-        load ()
-  in
-  load ();
-  if !runs = [] then begin
-    (* everything fit: one in-memory sort, streamed out *)
-    let arr = Array.of_list (List.rev !buf) in
-    Array.stable_sort cmp arr;
-    buf := [];
-    let i = ref 0 in
-    let closed = ref false in
-    fun () ->
-      if !i < Array.length arr then begin
-        let row = arr.(!i) in
-        incr i;
-        Some row
-      end
-      else begin
-        if not !closed then begin
-          closed := true;
-          release (Array.length arr);
-          hold_drop h
-        end;
-        None
-      end
-  end
-  else begin
-    flush_chunk ();
-    hold_drop h;
-    let fan = max 2 (cfg.budget_pages - 1) in
-    (* intermediate passes until one streaming merge remains *)
-    let rec reduce runs =
-      if List.length runs <= fan then runs
-      else begin
-        let batch = List.filteri (fun i _ -> i < fan) runs in
-        let rest = List.filteri (fun i _ -> i >= fan) runs in
+let merge_fan b = max 2 ((spill_cfg b).budget_pages - 1)
+
+(* Merge consecutive runs, [merge_fan] at a time, each merged run taking
+   its inputs' place, until at most [merge_fan] runs remain; then open
+   the final streaming merge.  Keeping runs in input order is what keeps
+   the external sort stable across passes. *)
+let merge b ~cmp runs =
+  let fan = merge_fan b in
+  let merge_group group =
+    match group with
+    | [ r ] -> r
+    | _ ->
+        let m = open_merge b ~cmp group in
         let out = run_create () in
-        let s =
-          merge_streams cmp (List.map (fun r -> run_stream ?gov cfg r) batch)
-        in
         let rec go () =
-          match s () with
-          | None -> ()
-          | Some row ->
-              run_add ?gov cfg out row;
-              go ()
+          let i = least m in
+          if i >= 0 then begin
+            run_add b out (take m i);
+            go ()
+          end
         in
         go ();
-        reduce (rest @ [ out ])
-      end
-    in
-    let final = reduce (List.rev !runs) in
-    (* one page buffer per surviving run during the streaming merge *)
-    let hm = hold cfg in
-    hold_rows ?gov hm (List.length final * cfg.page_rows);
-    let s =
-      merge_streams cmp (List.map (fun r -> run_stream ?gov cfg r) final)
-    in
-    let closed = ref false in
-    fun () ->
-      match s () with
-      | Some row -> Some row
-      | None ->
-          if not !closed then begin
-            closed := true;
-            hold_drop hm
-          end;
-          None
-  end
-
-(* ---------------- adaptive spilling hash aggregation ---------------- *)
-
-let hash_agg (type st) cfg ?gov ?(acquire = ignore) ?(release = ignore)
-    ?(on_groups = ignore) ~key ~(fresh : unit -> st)
-    ~(absorb : st -> Row.t -> unit) ~(emit : Row.t -> st -> Row.t)
-    (input : row_stream) : row_stream =
-  let budget = rows_budget cfg in
-  let nparts = nparts_of cfg in
-  let rec process depth (input : row_stream) : row_stream =
-    let table : st Rowtbl.t = Rowtbl.create key in
-    let h = hold cfg in
-    let parts = ref None in
-    let part_of row =
-      let arr =
-        match !parts with
-        | Some a -> a
-        | None ->
-            let a = Array.init nparts (fun _ -> run_create ()) in
-            parts := Some a;
-            a
-      in
-      arr.(partition_of ~depth ~nparts (Rowtbl.hash key row))
-    in
-    let unbounded = depth >= max_depth in
-    let rec load () =
-      match input () with
-      | None -> ()
-      | Some row ->
-          let e = Rowtbl.find table key row in
-          if Rowtbl.found e then absorb (Rowtbl.data e) row
-          else if unbounded || Rowtbl.length table < budget then begin
-            let st = fresh () in
-            absorb st row;
-            Rowtbl.add table row st;
-            acquire 1;
-            hold_rows ?gov h (Rowtbl.length table);
-            on_groups (Rowtbl.length table)
-          end
-          else
-            (* non-resident key: its rows all go to one partition *)
-            run_add ?gov cfg (part_of row) row;
-          load ()
-    in
-    load ();
-    (* resident groups stream out in first-seen order; spilled
-       partitions follow, so no global order is promised *)
-    let resident = Rowtbl.to_stream table emit in
-    let dropped = ref false in
-    let pending =
-      ref
-        (match !parts with
-        | None -> []
-        | Some a -> Array.to_list a |> List.filter (fun r -> run_rows r > 0))
-    in
-    let sub = ref None in
-    let rec next () =
-      match resident () with
-      | Some row -> Some row
-      | None -> (
-          if not !dropped then begin
-            dropped := true;
-            release (Rowtbl.length table);
-            Rowtbl.reset table;
-            hold_drop h
-          end;
-          match !sub with
-          | Some s -> (
-              match s () with
-              | Some row -> Some row
-              | None ->
-                  sub := None;
-                  next ())
-          | None -> (
-              match !pending with
-              | [] -> None
-              | r :: rest ->
-                  pending := rest;
-                  sub := Some (process (depth + 1) (run_stream ?gov cfg r));
-                  next ()))
-    in
-    next
+        out
   in
-  process 0 input
-
-(* ---------------- grace hash join ---------------- *)
-
-let dummy_row : Row.t = [||]
-
-let grace_join cfg ?gov ?(acquire = ignore) ?(release = ignore) ~lkey ~rkey
-    ~combine ~(left : row_stream) ~(right : row_stream) () : row_stream =
-  let budget = rows_budget cfg in
-  let nparts = nparts_of cfg in
-  let rec process depth (left : row_stream) (right : row_stream) : row_stream =
-    let table : unit Rowtbl.t = Rowtbl.create lkey in
-    let h = hold cfg in
-    let grace = ref false in
-    let lparts = Array.init nparts (fun _ -> run_create ()) in
-    let part row =
-      lparts.(partition_of ~depth ~nparts (Rowtbl.hash lkey row))
-    in
-    let unbounded = depth >= max_depth in
-    let rec build () =
-      match left () with
-      | None -> ()
-      | Some row ->
-          (* a NULL join key never matches: inner join drops the row *)
-          if Row.non_null_on lkey row then
-            if (not !grace) && (unbounded || Rowtbl.length table < budget)
-            then begin
-              Rowtbl.add table row ();
-              acquire 1;
-              hold_rows ?gov h (Rowtbl.length table)
-            end
-            else begin
-              if not !grace then begin
-                (* budget breached: degrade to partitioning, dumping
-                   the resident build rows first *)
-                grace := true;
-                Rowtbl.iter
-                  (fun row () -> run_add ?gov cfg (part row) row)
-                  table;
-                release (Rowtbl.length table);
-                Rowtbl.reset table;
-                hold_drop h
-              end;
-              run_add ?gov cfg (part row) row
-            end;
-          build ()
-    in
-    build ();
-    if not !grace then begin
-      (* build fits: stream the probe against the resident table *)
-      let pending = ref Rowtbl.none in
-      let cur = ref dummy_row in
-      let closed = ref false in
-      let rec next () =
-        if Rowtbl.found !pending then begin
-          let l = Rowtbl.row !pending in
-          pending := Rowtbl.next table rkey !cur !pending;
-          match combine l !cur with Some row -> Some row | None -> next ()
-        end
-        else
-          match right () with
-          | None ->
-              if not !closed then begin
-                closed := true;
-                release (Rowtbl.length table);
-                Rowtbl.reset table;
-                hold_drop h
-              end;
-              None
-          | Some r ->
-              if Row.non_null_on rkey r then begin
-                cur := r;
-                pending := Rowtbl.find table rkey r
-              end;
-              next ()
-      in
-      next
-    end
-    else begin
-      (* partition the probe with the same salted hash, then join each
-         partition pair recursively *)
-      let rparts = Array.init nparts (fun _ -> run_create ()) in
-      let rec split () =
-        match right () with
-        | None -> ()
-        | Some r ->
-            if Row.non_null_on rkey r then
-              run_add ?gov cfg
-                rparts.(partition_of ~depth ~nparts (Rowtbl.hash rkey r))
-                r;
-            split ()
-      in
-      split ();
-      let pairs =
-        ref
-          (List.init nparts (fun i -> (lparts.(i), rparts.(i)))
-          |> List.filter (fun (l, r) -> run_rows l > 0 && run_rows r > 0))
-      in
-      let sub = ref None in
-      let rec next () =
-        match !sub with
-        | Some s -> (
-            match s () with
-            | Some row -> Some row
-            | None ->
-                sub := None;
-                next ())
-        | None -> (
-            match !pairs with
-            | [] -> None
-            | (lr, rr) :: rest ->
-                pairs := rest;
-                sub :=
-                  Some
-                    (process (depth + 1)
-                       (run_stream ?gov cfg lr)
-                       (run_stream ?gov cfg rr));
-                next ())
-      in
-      next
-    end
+  let rec pass = function
+    | [] -> []
+    | runs ->
+        let group = List.filteri (fun i _ -> i < fan) runs in
+        let rest = List.filteri (fun i _ -> i >= fan) runs in
+        let merged = merge_group group in
+        merged :: pass rest
   in
-  process 0 left right
+  let rec reduce runs =
+    if List.length runs <= fan then runs else reduce (pass runs)
+  in
+  let final = reduce runs in
+  let m = open_merge b ~cmp final in
+  hold_rows m.mhold (List.length final * m.mcfg.page_rows);
+  m

@@ -165,117 +165,6 @@ let test_planner_invalid_query () =
   let text = Explain.text db d in
   Alcotest.(check bool) "explain prints" true (String.length text > 20)
 
-(* ---------------- unique-group detection (Klug/Dayal) ---------------- *)
-
-let unique_db () =
-  let w = Employee_dept.setup ~employees:300 ~departments:12
-      ~null_dept_fraction:0.1 () in
-  w.Employee_dept.db
-
-let scan db table rel =
-  let td =
-    Option.get (Eager_catalog.Catalog.find_table (Eager_storage.Database.catalog db) table)
-  in
-  Eager_algebra.Plan.scan ~table ~rel (Eager_catalog.Table_def.schema ~rel td)
-
-let test_unique_group_detection () =
-  let open Eager_algebra in
-  let db = unique_db () in
-  let e = scan db "Employee" "E" and d = scan db "Department" "D" in
-  let join =
-    Plan.join (Expr.eq (Expr.col "E" "DeptID") (Expr.col "D" "DeptID")) e d
-  in
-  (* grouping a single table on its primary key: unique *)
-  Alcotest.(check bool) "PK grouping is unique" true
-    (Unique_group.groups_are_unique db ~by:[ cr "E" "EmpID" ] e);
-  (* grouping the join on the outer key: the equality reaches D's key *)
-  Alcotest.(check bool) "join grouped on E's key is unique" true
-    (Unique_group.groups_are_unique db ~by:[ cr "E" "EmpID" ] join);
-  (* non-key grouping is not *)
-  Alcotest.(check bool) "non-key grouping not unique" false
-    (Unique_group.groups_are_unique db ~by:[ cr "E" "DeptID" ] e);
-  (* a key of only one side does not cover the join *)
-  Alcotest.(check bool) "D's key alone does not cover the join" false
-    (Unique_group.groups_are_unique db ~by:[ cr "D" "DeptID" ]
-       (Plan.Product (e, d)))
-
-let test_unique_group_execution_agrees () =
-  let open Eager_algebra in
-  let open Eager_exec in
-  let db = unique_db () in
-  let e = scan db "Employee" "E" and d = scan db "Department" "D" in
-  let join =
-    Plan.join (Expr.eq (Expr.col "E" "DeptID") (Expr.col "D" "DeptID")) e d
-  in
-  let g =
-    Plan.group
-      ~by:[ cr "E" "EmpID"; cr "D" "Name" ]
-      ~aggs:[ Eager_algebra.Agg.count_star (cr "" "n") ]
-      join
-  in
-  let marked = Unique_group.mark db g in
-  (match marked with
-  | Plan.Group { unique_groups = true; _ } -> ()
-  | _ -> Alcotest.fail "expected the group to be marked unique");
-  let rows = Exec.run_rows db g in
-  let rows' = Exec.run_rows db marked in
-  Alcotest.(check bool) "fast path agrees" true (Exec.multiset_equal rows rows');
-  (* every group really is a singleton *)
-  Alcotest.(check bool) "all counts are 1" true
-    (List.for_all
-       (fun row ->
-         Eager_value.Value.null_eq row.(Array.length row - 1) (Eager_value.Value.Int 1))
-       rows')
-
-let test_unique_group_nested () =
-  let open Eager_algebra in
-  let db = unique_db () in
-  let e = scan db "Employee" "E" in
-  (* a grouped output is keyed by its grouping columns: re-grouping on the
-     same columns is provably singleton *)
-  let inner =
-    Plan.group ~by:[ cr "E" "DeptID" ]
-      ~aggs:[ Eager_algebra.Agg.count_star (cr "" "n") ]
-      e
-  in
-  Alcotest.(check bool) "regroup on group keys is unique" true
-    (Unique_group.groups_are_unique db ~by:[ cr "E" "DeptID" ] inner);
-  (* grouping the inner result on the aggregate output alone is not *)
-  Alcotest.(check bool) "grouping on the aggregate output is not" false
-    (Unique_group.groups_are_unique db ~by:[ cr "" "n" ] inner);
-  (* a scalar group is a single row: anything over it is unique *)
-  let scalar =
-    Plan.group ~scalar:true ~by:[]
-      ~aggs:[ Eager_algebra.Agg.count_star (cr "" "total") ]
-      e
-  in
-  Alcotest.(check bool) "over a scalar group" true
-    (Unique_group.groups_are_unique db ~by:[ cr "" "total" ] scalar)
-
-let test_unique_group_not_marked_when_unsound () =
-  let open Eager_algebra in
-  let open Eager_exec in
-  let db = unique_db () in
-  let e = scan db "Employee" "E" in
-  (* grouping on DeptID: multi-row groups; mark must not fire, and results
-     must stay correct *)
-  let g =
-    Plan.group ~by:[ cr "E" "DeptID" ]
-      ~aggs:[ Eager_algebra.Agg.count_star (cr "" "n") ]
-      e
-  in
-  (match Unique_group.mark db g with
-  | Plan.Group { unique_groups = false; _ } -> ()
-  | _ -> Alcotest.fail "must not mark non-key grouping");
-  let rows = Exec.run_rows db g in
-  Alcotest.(check bool) "multi-row groups exist" true
-    (List.exists
-       (fun row ->
-         match row.(Array.length row - 1) with
-         | Eager_value.Value.Int n -> n > 1
-         | _ -> false)
-       rows)
-
 (* histogram-aware range selectivity: a skewed column's estimate must beat
    the uniform 1/3 guess *)
 let test_histogram_selectivity () =
@@ -521,14 +410,5 @@ let () =
             test_join_order_single_and_fallback;
           Alcotest.test_case "planner uses DP on wide sides" `Quick
             test_planner_uses_dp_for_wide_sides;
-        ] );
-      ( "unique groups",
-        [
-          Alcotest.test_case "detection" `Quick test_unique_group_detection;
-          Alcotest.test_case "fast path agrees" `Quick
-            test_unique_group_execution_agrees;
-          Alcotest.test_case "soundness guard" `Quick
-            test_unique_group_not_marked_when_unsound;
-          Alcotest.test_case "nested groups" `Quick test_unique_group_nested;
         ] );
     ]

@@ -212,31 +212,25 @@ let test_points_fire () =
     (fire "storage.page_read" (fun () ->
          Err.protect ~kind:Err.Storage (fun () ->
              Buffer_pool.read_page pool pgr pid)));
-  check_kind "exec.spill is Exec" Err.Exec
-    (fire "exec.spill" (fun () ->
-         Err.protect ~kind:Err.Exec (fun () ->
-             let scratch = Pager.create_mem ~page_size:256 () in
-             let sp =
-               Spill.make ~pool ~scratch ~budget_pages:2 ~page_rows:4
-             in
-             Fun.protect
-               ~finally:(fun () ->
-                 Spill.cleanup sp;
-                 Pager.close scratch)
-               (fun () ->
-                 let n = ref 0 in
-                 let input () =
-                   if !n < 200 then begin
-                     incr n;
-                     Some [| i !n |]
-                   end
-                   else None
-                 in
-                 let out = Spill.sort sp ~cmp:compare input in
-                 let rec drain () =
-                   match out () with Some _ -> drain () | None -> ()
-                 in
-                 drain ()))))
+  (* the executor's external sort writes runs at a 2-page budget *)
+  let paged =
+    Database.create
+      ~storage:{ Database.pool_pages = Some 4; page_size = 256; spill_dir = None }
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Database.close_storage paged)
+    (fun () ->
+      Database.create_table paged
+        (Table_def.make "K" [ coldef "id" Ctype.Int; coldef "v" Ctype.Int ] []);
+      Database.load paged "K" (List.init 200 (fun n -> [ i n; i (-n) ]));
+      let options =
+        { Exec.default_options with spill = Spill.for_db ~budget_pages:2 paged }
+      in
+      check_kind "exec.spill is Exec" Err.Exec
+        (fire "exec.spill" (fun () ->
+             Exec.run_checked ~options paged
+               (Plan.sort [ (cr "K" "v", false) ] scan_k))))
 
 (* ------------- write atomicity under injected crashes ------------- *)
 

@@ -186,8 +186,8 @@ done < <(grep -rnw --include='*.ml' 'apply_order' lib bin |
   grep -vE '^lib/(server/statement|parser/binder)\.ml:' || true)
 
 # One hash table under every hash breaker: the executor's joins,
-# groupings and DISTINCT, in memory (exec.ml) and spilling (spill.ml),
-# key on Rowtbl, which hashes and compares key columns in place.  A
+# groupings and DISTINCT (exec.ml, with spill.ml's partitions) key on
+# Rowtbl, which hashes and compares key columns in place.  A
 # Row.key_on list key or a private Hashtbl there is a second table
 # growing back.  ref_eval.ml, the reference oracle, keeps its own on
 # purpose and is not matched.
@@ -197,6 +197,75 @@ while IFS= read -r hit; do
   echo "lint: (lib/exec/rowtbl.ml), not Row.key_on or a new Hashtbl." >&2
   bad=1
 done < <(grep -nE 'Row\.key_on|Hashtbl\.create' lib/exec/exec.ml lib/exec/spill.ml || true)
+
+# One implementation per pipeline breaker: the executor's sort, hash
+# join, hash aggregation and DISTINCT spill when a bounded budget runs
+# out, and under the unbounded budget (the RAM engine) the same code is
+# the in-memory path.  So exec.ml reads the spill config once, where it
+# becomes the statement's budget (`Spill.budget ... options.spill`); any
+# other read is a second implementation forking on the engine.  And
+# Spill keeps only the shared machinery: a row-stream sort, hash_agg or
+# grace_join exported from spill.mli is the old duplicate growing back.
+check_spill_forks() { # check_spill_forks <exec.ml>
+  local rc=0 hit
+  while IFS= read -r hit; do
+    case "$hit" in
+    *Spill.budget*) ;;
+    *)
+      echo "lint: spill config read outside the statement budget: $hit" >&2
+      echo "lint: run the breaker against the budget (Spill.budget ..." >&2
+      echo "lint: options.spill, read once in run_profiled) instead." >&2
+      rc=1
+      ;;
+    esac
+  done < <(grep -nE '\.spill([^_a-zA-Z0-9]|$)|[{;] *spill *[;=}]' "$1" || true)
+  return "$rc"
+}
+check_spill_exports() { # check_spill_exports <spill.mli>
+  local rc=0 hit
+  while IFS= read -r hit; do
+    echo "lint: row-stream breaker exported from Spill: $hit" >&2
+    echo "lint: write the breaker once as an executor cursor over the" >&2
+    echo "lint: budget; Spill keeps holds, runs, partitions and merge." >&2
+    rc=1
+  done < <(grep -nE '^ *(val|type) +(sort|hash_agg|grace_join|row_stream)([^_a-zA-Z0-9]|$)' \
+    "$1" || true)
+  return "$rc"
+}
+check_spill_forks lib/exec/exec.ml || bad=1
+check_spill_exports lib/exec/spill.mli || bad=1
+
+# Self-test: the rule must catch a planted engine fork and a planted
+# row-stream export, and let the one budget read through.
+selftest=$(mktemp -d)
+cat >"$selftest/exec.ml" <<'EOF'
+let budget = Spill.budget ~gov options.spill
+let cur =
+  match options.spill with
+  | Some sp -> spilling_sort sp child
+  | None -> in_memory_sort child
+EOF
+cat >"$selftest/spill.mli" <<'EOF'
+val merge : budget -> cmp:(Row.t -> Row.t -> int) -> run list -> merge
+val sort : config -> cmp:(Row.t -> Row.t -> int) -> row_stream -> row_stream
+EOF
+if check_spill_forks "$selftest/exec.ml" 2>/dev/null; then
+  echo "lint: SELF-TEST FAILED — a planted options.spill fork slipped" >&2
+  echo "lint: past the one-breaker rule (check_spill_forks)." >&2
+  bad=1
+fi
+if check_spill_exports "$selftest/spill.mli" 2>/dev/null; then
+  echo "lint: SELF-TEST FAILED — a planted row-stream Spill.sort export" >&2
+  echo "lint: slipped past the one-breaker rule (check_spill_exports)." >&2
+  bad=1
+fi
+printf 'let budget = Spill.budget ~gov options.spill\n' >"$selftest/ok.ml"
+if ! check_spill_forks "$selftest/ok.ml" 2>/dev/null; then
+  echo "lint: SELF-TEST FAILED — the one-breaker rule rejects the" >&2
+  echo "lint: statement's own budget read (check_spill_forks)." >&2
+  bad=1
+fi
+rm -rf "$selftest"
 
 # One statistics cache: the live database, its snapshots and their
 # reader views share it (Database.stats), and it extends cached
